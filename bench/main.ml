@@ -32,14 +32,10 @@ module Ascii_table = Agingfp_util.Ascii_table
 module Stats = Agingfp_util.Stats
 module Coord = Agingfp_util.Coord
 module Milp = Agingfp_lp.Milp
-module Node_store = Agingfp_lp.Node_store
-module Brancher = Agingfp_lp.Brancher
 module LpModel = Agingfp_lp.Model
 module LpExpr = Agingfp_lp.Expr
 module Simplex = Agingfp_lp.Simplex
 module Basis = Agingfp_lp.Basis
-module Cuts = Agingfp_lp.Cuts
-module Heuristics = Agingfp_lp.Heuristics
 module Pool = Agingfp_util.Pool
 
 let quick = ref false
@@ -348,21 +344,21 @@ let bench_ablation_encoding () =
 let bench_ablation_decomp () =
   header "Ablation (DESIGN.md par. 5): monolithic MILP vs per-context decomposition";
   Milp.reset_cumulative ();
-  Printf.printf "%-6s %-12s | %9s %9s %7s\n" "bench" "strategy" "sec" "ST" "MTTFx";
+  Printf.printf "%-6s %-12s | %9s %9s %7s\n" "bench" "shape" "sec" "ST" "MTTFx";
   List.iter
     (fun name ->
       let design = Benchmarks.generate (Option.get (Benchmarks.find name)) in
       let baseline = Placer.aging_unaware design in
       List.iter
-        (fun (sname, strategy) ->
-          let params = { Remap.default_params with strategy } in
+        (fun (sname, monolithic_var_limit) ->
+          let params = { Remap.default_params with monolithic_var_limit } in
           let r, dt =
             time_it (fun () -> Remap.solve ~params ~mode:Rotation.Rotate design baseline)
           in
           let imp = Mttf.improvement design ~baseline ~remapped:r.Remap.mapping in
           Printf.printf "%-6s %-12s | %9.2f %9.3f %7.2f\n%!" name sname dt
             r.Remap.st_target imp)
-        [ ("monolithic", Remap.Monolithic); ("per-context", Remap.Per_context) ])
+        [ ("monolithic", max_int); ("per-context", -1) ])
     [ "B1"; "B10"; "B13" ];
   Printf.printf "\nsolver stats: %s\n"
     (Format.asprintf "%a" Milp.pp_stats (Milp.cumulative ()))
@@ -898,8 +894,8 @@ let bench_smoke_lp () =
         first_solution = false;
         warm_start = warm;
         presolve;
-        cuts = Cuts.off;
-        heuristics = Heuristics.off;
+        cuts = false;
+        heuristics = false;
       }
     in
     let (result, stats), dt = time_it (fun () -> Milp.solve_with_stats ~params lp) in
@@ -946,9 +942,9 @@ let bench_smoke_lp () =
   if warm_stats.Milp.warm_solves = 0 then
     Printf.printf "WARNING: warm run performed no warm solves\n";
   (* Cut separation + heuristic seeding ablation on the same instance
-     and the same warm search: separation family legs with heuristics
-     off, then the full stack. Every leg must land on the same
-     optimum — cuts are accelerations, not relaxations. *)
+     and the same warm search: the bare search, cuts alone, then the
+     full stack. Every leg must land on the same optimum — cuts are
+     accelerations, not relaxations. *)
   header "smoke-lp: Gomory/cover separation + diving/pump ablation";
   let run_cuts label cuts heuristics =
     let params =
@@ -968,11 +964,9 @@ let bench_smoke_lp () =
   in
   let cut_legs =
     [
-      run_cuts "off" Cuts.off Heuristics.off;
-      run_cuts "gomory" { Cuts.default_config with Cuts.cover = false } Heuristics.off;
-      run_cuts "cover" { Cuts.default_config with Cuts.gomory = false } Heuristics.off;
-      run_cuts "both" Cuts.default_config Heuristics.off;
-      run_cuts "both+heur" Cuts.default_config Heuristics.default_config;
+      run_cuts "off" false false;
+      run_cuts "cuts" true false;
+      run_cuts "cuts+heur" true true;
     ]
   in
   let jgap g = if Float.is_finite g then Printf.sprintf "%.4f" g else "null" in
@@ -1010,7 +1004,7 @@ let bench_smoke_lp () =
       Printf.printf "WARNING: full cut+heuristic stack did not reduce nodes (%d vs %d)\n"
         full_stats.Milp.nodes warm_stats.Milp.nodes;
     (match
-       List.find_opt (fun (l, _, _, _) -> l = "both") cut_legs
+       List.find_opt (fun (l, _, _, _) -> l = "cuts") cut_legs
      with
     | Some (_, _, s, _)
       when Float.is_finite s.Milp.root_gap_closed && s.Milp.root_gap_closed <= 0.0 ->
@@ -1205,82 +1199,22 @@ let bench_smoke_lp () =
     domains_available
     (base_dt /. (let _, dt, _ = List.nth milp_legs 2 in dt))
     (suite_1 /. suite_4);
-  (* Tree scenario: the explicit-node search itself. Traversal orders
-     and branching rules must all land on the same optimum at
-     mip_gap = 0; a 1e-3 gap tolerance should stop earlier with a
-     certified incumbent; and the gap-at-time curves show how fast
-     each job count closes the dual gap under a hard deadline. *)
-  header "smoke-lp: explicit tree search — traversal, branching, gap termination";
+  (* Tree scenario: the gap-at-time curves show how fast each job
+     count closes the dual gap of the explicit-node search under a hard
+     deadline. *)
+  header "smoke-lp: explicit tree search — gap at time";
   let module UBudget = Agingfp_util.Budget in
-  (* Traversal/branching comparisons need a real tree: with root cuts
-     the instance closes in a handful of nodes and every leg looks the
-     same. *)
+  (* A bare search: with root cuts the instance closes in a handful of
+     nodes and every curve looks the same. *)
   let tree_params =
     {
       Milp.default_params with
       Milp.node_limit = 100_000;
       first_solution = false;
-      cuts = Cuts.off;
-      heuristics = Heuristics.off;
+      cuts = false;
+      heuristics = false;
     }
   in
-  let run_tree ?(params = tree_params) label =
-    let (result, stats), dt = time_it (fun () -> Milp.solve_with_stats ~params lp) in
-    let objective =
-      match result with Milp.Feasible sol -> sol.Agingfp_lp.Simplex.objective | _ -> nan
-    in
-    Printf.printf "  %-24s %6.3fs  %6d nodes  stop %-10s gap %-8s objective %.4f\n%!"
-      label dt stats.Milp.nodes
-      (UBudget.stop_reason_to_string stats.Milp.stop)
-      (if Float.is_finite stats.Milp.gap then Printf.sprintf "%.2g" stats.Milp.gap
-       else "inf")
-      objective;
-    (objective, stats, dt)
-  in
-  let traversal_legs =
-    List.map
-      (fun t ->
-        let o, s, dt =
-          run_tree
-            ~params:{ tree_params with Milp.traversal = t }
-            (Node_store.strategy_to_string t)
-        in
-        (Node_store.strategy_to_string t, o, s, dt))
-      [ Node_store.Dfs; Node_store.Best_first; Node_store.Hybrid ]
-  in
-  let branching_legs =
-    List.map
-      (fun b ->
-        let o, s, dt =
-          run_tree
-            ~params:{ tree_params with Milp.branching = b }
-            (Brancher.rule_to_string b)
-        in
-        (Brancher.rule_to_string b, o, s, dt))
-      [ Brancher.Most_fractional; Brancher.Pseudocost ]
-  in
-  let _, ref_obj, _, _ = List.hd traversal_legs in
-  List.iter
-    (fun (l, o, _, _) ->
-      if abs_float (o -. ref_obj) > 1e-6 then
-        Printf.printf "WARNING: %s objective differs (%.6f vs %.6f)\n" l o ref_obj)
-    (traversal_legs @ branching_legs);
-  let gaptol = 1e-3 in
-  let gap_obj, gap_run_stats, gap_dt =
-    run_tree ~params:{ tree_params with Milp.mip_gap = gaptol } "mip-gap 1e-3"
-  in
-  (match gap_run_stats.Milp.stop with
-  | UBudget.Gap_limit when gap_run_stats.Milp.gap > gaptol ->
-    Printf.printf "WARNING: gap-limit stop with gap %.3g above the tolerance\n"
-      gap_run_stats.Milp.gap
-  | _ -> ());
-  if
-    Float.is_finite ref_obj
-    && abs_float (gap_obj -. ref_obj)
-       > gaptol *. Float.max 1.0 (abs_float ref_obj) +. 1e-9
-  then
-    Printf.printf "WARNING: gap-limit objective drifted past the tolerance (%.6f vs %.6f)\n"
-      gap_obj ref_obj;
   let deadlines = if !quick then [ 0.01; 0.05 ] else [ 0.005; 0.01; 0.025; 0.05; 0.1 ] in
   let gap_curves =
     List.map
@@ -1328,23 +1262,7 @@ let bench_smoke_lp () =
   in
   let tree_json =
     let jf g = if Float.is_finite g then Printf.sprintf "%.6g" g else "null" in
-    let leg (l, o, (s : Milp.stats), dt) =
-      Printf.sprintf
-        "{\"name\": \"%s\", \"seconds\": %.4f, \"nodes\": %d, \"lp_iterations\": %d, \
-         \"objective\": %.4f, \"gap\": %s}"
-        l dt s.Milp.nodes s.Milp.lp_iterations o (jf s.Milp.gap)
-    in
-    Printf.sprintf
-      "{\"traversals\": [%s],\n\
-      \          \"branching\": [%s],\n\
-      \          \"gap_limit\": {\"mip_gap\": %.4g, \"seconds\": %.4f, \"nodes\": %d, \
-       \"stop\": \"%s\", \"gap\": %s, \"objective\": %.4f},\n\
-      \          \"gap_at_time\": [%s]}"
-      (String.concat ", " (List.map leg traversal_legs))
-      (String.concat ", " (List.map leg branching_legs))
-      gaptol gap_dt gap_run_stats.Milp.nodes
-      (UBudget.stop_reason_to_string gap_run_stats.Milp.stop)
-      (jf gap_run_stats.Milp.gap) gap_obj
+    Printf.sprintf "{\"gap_at_time\": [%s]}"
       (String.concat ", "
          (List.map
             (fun (jobs, curve) ->

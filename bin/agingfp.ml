@@ -22,10 +22,6 @@ module Model = Agingfp_lp.Model
 module Lp_format = Agingfp_lp.Lp_format
 module Analyze = Agingfp_lp.Analyze
 module Milp = Agingfp_lp.Milp
-module Node_store = Agingfp_lp.Node_store
-module Brancher = Agingfp_lp.Brancher
-module Cuts = Agingfp_lp.Cuts
-module Heuristics = Agingfp_lp.Heuristics
 module Faults = Agingfp_lp.Faults
 module Router = Agingfp_route.Router
 module Ascii_table = Agingfp_util.Ascii_table
@@ -201,54 +197,21 @@ let solver_stats_table () =
                |])
          p.Agingfp_lp.Presolve.per_rule)
 
-let cuts_config_of_string = function
-  | "off" -> Some Cuts.off
-  | "gomory" -> Some { Cuts.default_config with Cuts.cover = false }
-  | "cover" -> Some { Cuts.default_config with Cuts.gomory = false }
-  | "both" -> Some Cuts.default_config
-  | _ -> None
-
-let heuristics_config_of_string = function
-  | "off" -> Some Heuristics.off
-  | "dive" -> Some { Heuristics.default_config with Heuristics.pump = false }
-  | "pump" -> Some { Heuristics.default_config with Heuristics.diving = false }
-  | "both" -> Some Heuristics.default_config
-  | _ -> None
-
 let cmd_remap benchmark source dim mode_s quiet design_file save_design save_floorplan
-    techmap stats certify deadline gap traversal branching cuts heuristics inject_faults
-    jobs =
+    techmap stats certify deadline inject_faults jobs =
   let fault_spec =
     match inject_faults with
     | None -> Ok Faults.none
     | Some s -> Faults.of_string s
   in
-  let search_opts =
-    match
-      ( Node_store.strategy_of_string traversal,
-        Brancher.rule_of_string branching,
-        cuts_config_of_string cuts,
-        heuristics_config_of_string heuristics )
-    with
-    | None, _, _, _ ->
-      Error (Printf.sprintf "unknown traversal %S (dfs|best-first|hybrid)" traversal)
-    | _, None, _, _ ->
-      Error (Printf.sprintf "unknown branching %S (most-fractional|pseudocost)" branching)
-    | _, _, None, _ ->
-      Error (Printf.sprintf "unknown cuts setting %S (off|gomory|cover|both)" cuts)
-    | _, _, _, None ->
-      Error
-        (Printf.sprintf "unknown heuristics setting %S (off|dive|pump|both)" heuristics)
-    | Some t, Some b, Some c, Some h -> Ok (t, b, c, h)
-  in
   match
     (load_design ?design_file ~techmap benchmark source dim, mode_of_string mode_s,
-     fault_spec, search_opts)
+     fault_spec)
   with
-  | Error msg, _, _, _ | _, Error msg, _, _ | _, _, Error msg, _ | _, _, _, Error msg ->
+  | Error msg, _, _ | _, Error msg, _ | _, _, Error msg ->
     prerr_endline msg;
     1
-  | Ok design, Ok mode, Ok fault_spec, Ok (traversal, branching, cuts, heuristics) ->
+  | Ok design, Ok mode, Ok fault_spec ->
     (match save_design with
     | Some path -> (
       match Serial.save_design path design with
@@ -264,15 +227,6 @@ let cmd_remap benchmark source dim mode_s quiet design_file save_design save_flo
         Remap.certify;
         deadline_s = deadline;
         jobs = resolve_jobs jobs;
-        milp =
-          {
-            Remap.default_params.Remap.milp with
-            Milp.mip_gap = gap;
-            traversal;
-            branching;
-            cuts;
-            heuristics;
-          };
       }
     in
     set_diag "remap";
@@ -353,17 +307,7 @@ let cmd_remap benchmark source dim mode_s quiet design_file save_design save_flo
    sequentially (inner jobs = 1) — one level of parallelism saturates
    the machine without oversubscribing it. Results are collected in
    input order, so the report is identical at any job count. *)
-let cmd_suite jobs quick deadline cuts_s heuristics_s =
-  match (cuts_config_of_string cuts_s, heuristics_config_of_string heuristics_s) with
-  | None, _ ->
-    prerr_endline
-      (Printf.sprintf "unknown cuts setting %S (off|gomory|cover|both)" cuts_s);
-    1
-  | _, None ->
-    prerr_endline
-      (Printf.sprintf "unknown heuristics setting %S (off|dive|pump|both)" heuristics_s);
-    1
-  | Some cuts, Some heuristics ->
+let cmd_suite jobs quick deadline =
   let jobs = resolve_jobs jobs in
   let specs =
     let all = Array.to_list Benchmarks.table1 in
@@ -374,13 +318,7 @@ let cmd_suite jobs quick deadline cuts_s heuristics_s =
     diag_benchmark := spec.Benchmarks.bname;
     let design = Benchmarks.generate spec in
     let baseline = Placer.aging_unaware design in
-    let params =
-      {
-        Remap.default_params with
-        Remap.deadline_s = deadline;
-        milp = { Remap.default_params.Remap.milp with Milp.cuts; heuristics };
-      }
-    in
+    let params = { Remap.default_params with Remap.deadline_s = deadline } in
     let t = Budget.create () in
     let freeze_res, rotate_res = Remap.solve_both ~params design baseline in
     let secs = Budget.elapsed_s t in
@@ -703,45 +641,6 @@ let deadline_arg =
               expiry the degradation ladder falls back to ever cheaper machinery and \
               at worst returns the audited baseline floorplan.")
 
-let gap_arg =
-  Arg.(
-    value & opt float 0.0
-    & info [ "gap" ] ~docv:"G"
-        ~doc:"Relative MILP optimality-gap tolerance: branch & bound stops once the \
-              incumbent is proven within G of the global dual bound (stop reason \
-              gap-limit). 0 (the default) searches to a full optimality proof.")
-
-let traversal_arg =
-  Arg.(
-    value & opt string "hybrid"
-    & info [ "traversal" ] ~docv:"ORDER"
-        ~doc:"Branch & bound node-selection order: dfs, best-first, or hybrid \
-              (plunge depth-first, jump to the best dual bound when the dive dies).")
-
-let branching_arg =
-  Arg.(
-    value & opt string "pseudocost"
-    & info [ "branching" ] ~docv:"RULE"
-        ~doc:"Branching-variable rule: pseudocost (reliability-initialized by \
-              strong-branching probes) or most-fractional.")
-
-let cuts_arg =
-  Arg.(
-    value & opt string "both"
-    & info [ "cuts" ] ~docv:"FAMILY"
-        ~doc:"Cutting-plane separation: off, gomory (mixed-integer Gomory cuts from \
-              the warm tableau), cover (lifted knapsack covers from the Eq.(3) \
-              capacity rows), or both (the default). Cuts are managed by a shared \
-              pool with activity aging and never change the reported optimum.")
-
-let heuristics_arg =
-  Arg.(
-    value & opt string "both"
-    & info [ "heuristics" ] ~docv:"KIND"
-        ~doc:"Root primal heuristics that seed the incumbent before node 1: off, \
-              dive (least-fractional diving), pump (feasibility pump), or both (the \
-              default). Candidates are audit-checked before installation.")
-
 let inject_faults_arg =
   Arg.(
     value
@@ -831,15 +730,12 @@ let remap_cmd =
   Cmd.v (Cmd.info "remap" ~doc:"Run the aging-aware re-mapping flow (Algorithm 1)")
     Term.(
       const
-        (fun verbose b s d m q df sd sf tm stats certify deadline gap trav branch cuts
-             heur faults jobs ->
+        (fun verbose b s d m q df sd sf tm stats certify deadline faults jobs ->
           with_logs verbose (fun () ->
-              cmd_remap b s d m q df sd sf tm stats certify deadline gap trav branch
-                cuts heur faults jobs))
+              cmd_remap b s d m q df sd sf tm stats certify deadline faults jobs))
       $ verbose_arg $ benchmark_arg $ source_arg $ dim_arg $ mode_arg $ quiet_arg
       $ design_file_arg $ save_design_arg $ save_floorplan_arg $ techmap_arg $ stats_arg
-      $ certify_arg $ deadline_arg $ gap_arg $ traversal_arg $ branching_arg
-      $ cuts_arg $ heuristics_arg $ inject_faults_arg $ jobs_arg)
+      $ certify_arg $ deadline_arg $ inject_faults_arg $ jobs_arg)
 
 let quick_arg =
   Arg.(
@@ -852,9 +748,9 @@ let suite_cmd =
        ~doc:"Run the Table-I benchmark sweep, optionally fanning the independent \
              benchmarks out over a domain pool (--jobs)")
     Term.(
-      const (fun verbose jobs quick deadline cuts heuristics ->
-          with_logs verbose (fun () -> cmd_suite jobs quick deadline cuts heuristics))
-      $ verbose_arg $ jobs_arg $ quick_arg $ deadline_arg $ cuts_arg $ heuristics_arg)
+      const (fun verbose jobs quick deadline ->
+          with_logs verbose (fun () -> cmd_suite jobs quick deadline))
+      $ verbose_arg $ jobs_arg $ quick_arg $ deadline_arg)
 
 let out_arg =
   Arg.(

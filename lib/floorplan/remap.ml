@@ -13,15 +13,12 @@ let src = Logs.Src.create "agingfp.remap" ~doc:"Aging-aware remapping"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-type strategy = Monolithic | Per_context | Auto
-
-type step1_method = Greedy_pack | Exact_matching | Milp_relax
+type step1_method = Greedy_pack | Milp_relax
 
 type params = {
   seed : int;
   encoding : Ilp_model.encoding;
   objective : Ilp_model.objective;
-  strategy : strategy;
   step1 : step1_method;
   candidate_params : Candidates.params;
   path_params : Paths.params;
@@ -42,7 +39,6 @@ let default_params =
     seed = 20200310;
     encoding = Ilp_model.Hybrid;
     objective = Ilp_model.Min_displacement;
-    strategy = Auto;
     step1 = Greedy_pack;
     candidate_params = Candidates.default_params;
     path_params = Paths.default_params;
@@ -547,12 +543,7 @@ let attempt ?cache ?(budget = Budget.unlimited) ?(machinery = Full_milp)
     ?(note = fun _ _ -> ()) ?(stats_note = fun ~milp:_ _ -> ()) params design baseline
     ~candidates ~monitored ~frozen ~st_target =
   let cache = match cache with Some c -> c | None -> new_cache () in
-  let monolithic =
-    match params.strategy with
-    | Monolithic -> true
-    | Per_context -> false
-    | Auto -> estimate_binaries design candidates <= params.monolithic_var_limit
-  in
+  let monolithic = estimate_binaries design candidates <= params.monolithic_var_limit in
   let committed = frozen_stress design frozen in
   let all_contexts = List.init (Design.num_contexts design) (fun i -> i) in
   let all_paths_ok mapping =
@@ -829,44 +820,6 @@ let step1_lower_bound ?(params = default_params) ?(budget = Budget.unlimited) de
     let milp_relax_cache = new_cache () in
     let feasible st =
       match params.step1 with
-      | Exact_matching ->
-        (* Per context, "each unfrozen op gets a distinct PE within the
-           residual budget" is a bipartite perfect-matching question —
-           exact given the committed loads of earlier contexts. *)
-        let npes = Fabric.num_pes (Design.fabric design) in
-        let committed = Array.make npes 0.0 in
-        let ok = ref true in
-        for ctx = 0 to Design.num_contexts design - 1 do
-          (* An expired probe claims infeasible: the bisection keeps its
-             lo-infeasible/hi-feasible invariant and merely returns a
-             looser (never wrong) bound. *)
-          if !ok && Budget.expired budget then ok := false;
-          if !ok then begin
-            let dfg = Design.context design ctx in
-            let n = Dfg.num_ops dfg in
-            let g = Agingfp_util.Bipartite.create ~n_left:n ~n_right:npes in
-            (* Prefer lightly-loaded PEs: adjacency in committed order. *)
-            let pe_order = Array.init npes (fun i -> i) in
-            Array.sort (fun a b -> Float.compare committed.(a) committed.(b)) pe_order;
-            for op = 0 to n - 1 do
-              let st_op = Stress.op_stress design ~ctx ~op in
-              Array.iter
-                (fun pe ->
-                  if committed.(pe) +. st_op <= st +. 1e-9 then
-                    Agingfp_util.Bipartite.add_edge g op pe)
-                pe_order
-            done;
-            let m = Agingfp_util.Bipartite.solve g in
-            if Agingfp_util.Bipartite.matching_size m < n then ok := false
-            else
-              Array.iteri
-                (fun op pe ->
-                  committed.(pe) <-
-                    committed.(pe) +. Stress.op_stress design ~ctx ~op)
-                m
-          end
-        done;
-        !ok
       | Greedy_pack ->
         let committed = Array.make (Fabric.num_pes (Design.fabric design)) 0.0 in
         let ok = ref true in
@@ -883,9 +836,8 @@ let step1_lower_bound ?(params = default_params) ?(budget = Budget.unlimited) de
         done;
         !ok
       | Milp_relax ->
-        attempt ~cache:milp_relax_cache ~budget
-          { params with strategy = Auto }
-          design baseline ~candidates ~monitored ~frozen ~st_target:st
+        attempt ~cache:milp_relax_cache ~budget params design baseline ~candidates
+          ~monitored ~frozen ~st_target:st
         <> None
     in
     (* Invariant: lo infeasible, hi feasible. Stopping the bisection
@@ -935,7 +887,6 @@ let build_formulation ?(params = default_params) ~mode design baseline =
 let same_reason_class a b =
   match (a, b) with
   | Budget.Optimal, Budget.Optimal
-  | Budget.Gap_limit, Budget.Gap_limit
   | Budget.Deadline, Budget.Deadline
   | Budget.Node_limit, Budget.Node_limit
   | Budget.Iteration_limit, Budget.Iteration_limit

@@ -9,27 +9,27 @@
       until a floorplan exists {e and} the exact re-computed CPD does
       not exceed the original CPD.
 
-    Two solve strategies: [Monolithic] builds one MILP over all
-    contexts (the paper's formulation verbatim); [Per_context] solves
-    contexts sequentially against residual per-PE stress budgets —
-    the scaling decomposition of DESIGN.md §5. [Auto] picks by
-    problem size. *)
+    Two solve shapes, picked by problem size
+    ([monolithic_var_limit]): a monolithic MILP over all contexts
+    (the paper's formulation verbatim), or a per-context solve
+    against residual per-PE stress budgets — the scaling
+    decomposition of DESIGN.md §5.
+
+    Every MILP is the paper's two-step solve of Eq. (3)
+    ({!Agingfp_lp.Milp.relax_and_fix}): LP relaxation, pre-mapping of
+    binaries [>= 0.95], then branch & bound with the search of
+    [params.milp] — by default the first feasible floorplan. *)
 
 open Agingfp_cgrra
 
-type strategy = Monolithic | Per_context | Auto
-
 type step1_method =
   | Greedy_pack     (** best-fit-decreasing feasibility probe (fast) *)
-  | Exact_matching  (** Hopcroft–Karp perfect matching per context —
-                        exact given earlier contexts' commitments *)
   | Milp_relax      (** the paper's two-step MILP on the delay-unaware model *)
 
 type params = {
   seed : int;
   encoding : Ilp_model.encoding;
   objective : Ilp_model.objective;
-  strategy : strategy;
   step1 : step1_method;
   candidate_params : Candidates.params;
   path_params : Paths.params;
@@ -37,7 +37,10 @@ type params = {
   bisect_iters : int;
   delta_steps : int;   (** Δ = (ST_up − lower bound) / delta_steps *)
   max_outer : int;     (** bound on Δ-relaxation iterations *)
-  monolithic_var_limit : int;  (** Auto: monolithic below this many binaries *)
+  monolithic_var_limit : int;
+      (** one monolithic MILP when the estimated binaries number at
+          most this, per-context solves otherwise: [max_int] forces
+          monolithic, [-1] per-context *)
   refine : bool;
       (** run the {!Refine} local-search post-pass on success (an
           extension beyond the paper; disable to reproduce the bare
@@ -124,10 +127,10 @@ type result = {
   gap : float;
       (** worst (largest) finite relative optimality gap reported by
           any branch & bound run inside the ladder: [0.0] when every
-          B&B that ran proved optimality, [<= mip_gap] when searches
-          stopped on {!Agingfp_util.Budget.Gap_limit}, [nan] when no
-          B&B ran at all (rounding succeeded without it, or the flow
-          never got that far) *)
+          B&B that ran proved optimality, the incumbent's distance to
+          the dual bound when a search stopped early (first feasible
+          node or budget), [nan] when no B&B ran at all (rounding
+          succeeded without it, or the flow never got that far) *)
   dual_bound : float;
       (** the most recent finite global dual bound those runs
           reported, in the MILP's objective space; [nan] when none *)

@@ -89,6 +89,9 @@ let fill t =
   end
 
 let factorize t ~col =
+  (* Cleared until the elimination completes: a [Singular] raised
+     midway leaves half-rebuilt factors that no solve may use. *)
+  t.factored <- false;
   let n = t.n in
   let crows = Array.make (max n 1) [||] in
   let ccoefs = Array.make (max n 1) [||] in

@@ -31,7 +31,9 @@ val factorize : t -> col:(int -> int array * float array) -> unit
 (** [factorize t ~col] (re)factors the matrix whose column [j] is the
     sparse vector [col j] ([row indices], [coefficients]); the arrays
     are only read during the call. Resets the eta file.
-    @raise Singular if the matrix is (numerically) singular. *)
+    @raise Singular if the matrix is (numerically) singular; the
+    previous factors are then gone and the solves raise
+    [Invalid_argument] until the next successful [factorize]. *)
 
 val ftran : t -> float array -> unit
 (** [ftran t b] solves [A x = b] in place: [b] enters indexed by row

@@ -41,6 +41,7 @@ type t = {
   mutable total_eta : int;
   mutable n_drift : int;
   mutable last_fill : int;
+  mutable factored : bool;  (* the live factors match the current basis *)
 }
 
 let create kind m =
@@ -51,7 +52,8 @@ let create kind m =
     | Dense -> D { binv = Array.make_matrix cap cap 0.0; scratch = Array.make cap 0.0 }
     | Sparse_lu -> S (Lu.create m)
   in
-  { m; impl; n_factor = 0; n_eta = 0; total_eta = 0; n_drift = 0; last_fill = 0 }
+  { m; impl; n_factor = 0; n_eta = 0; total_eta = 0; n_drift = 0; last_fill = 0;
+    factored = false }
 
 let kind t = match t.impl with D _ -> Dense | S _ -> Sparse_lu
 let dim t = t.m
@@ -74,7 +76,8 @@ let resize t m' =
     | S _ -> t.impl <- S (Lu.create m'));
     t.m <- m';
     t.n_eta <- 0;
-    t.last_fill <- 0
+    t.last_fill <- 0;
+    t.factored <- false
   end
 
 (* ---------- dense reference implementation ---------- *)
@@ -131,12 +134,16 @@ let dense_factorize d m ~col =
 (* ---------- kernel interface ---------- *)
 
 let factorize t ~col =
+  t.factored <- false;
   (match t.impl with
   | D { binv; _ } -> dense_factorize binv t.m ~col
   | S lu -> ( try Lu.factorize lu ~col with Lu.Singular -> raise Singular));
   t.n_factor <- t.n_factor + 1;
   t.n_eta <- 0;
-  t.last_fill <- (match t.impl with D _ -> t.m * t.m | S lu -> Lu.fill lu)
+  t.last_fill <- (match t.impl with D _ -> t.m * t.m | S lu -> Lu.fill lu);
+  t.factored <- true
+
+let is_factored t = t.factored
 
 (* v := B^-1 v (row space in, basis-position space out), in place. *)
 let ftran t v =

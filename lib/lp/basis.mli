@@ -41,7 +41,11 @@ val resize : t -> int -> unit
 val factorize : t -> col:(int -> int array * float array) -> unit
 (** [factorize t ~col] factors the basis whose position [i] holds the
     sparse column [col i]. Discards any pending eta updates.
-    @raise Singular *)
+    @raise Singular, leaving the kernel unfactored. *)
+
+val is_factored : t -> bool
+(** The last {!factorize} succeeded and no {!resize} followed: the
+    solves may run. *)
 
 val ftran : t -> float array -> unit
 (** In place: row-space vector in, [B⁻¹ v] in basis-position space

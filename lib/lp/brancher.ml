@@ -1,60 +1,36 @@
-(* Branching-variable selection for the tree search.
-
-   Two rules:
-
-   - [Most_fractional]: the classic fallback — pick the integer
-     variable whose relaxed value sits farthest from an integer
-     (deterministic: first maximum in [int_vars] order).
-
-   - [Pseudocost]: per-variable, per-direction averages of observed
-     objective degradation per unit of rounded-away fraction. Each
-     processed child node contributes one observation (its relaxation
-     objective minus its parent's), and shallow nodes seed unreliable
-     variables with strong-branching probes (the search solves the
-     probe LPs and feeds the deltas back through [observe]); selection
-     scores a candidate by the product of its estimated up/down
-     degradations, which prefers variables that hurt both children —
-     the splits that move the dual bound.
+(* Branching-variable selection for the tree search: pseudocost
+   branching. Per-variable, per-direction averages of observed
+   objective degradation per unit of rounded-away fraction. Each
+   processed child node contributes one observation (its relaxation
+   objective minus its parent's), and shallow nodes seed unreliable
+   variables with strong-branching probes (the search solves the probe
+   LPs and feeds the deltas back through [observe]); selection scores a
+   candidate by the product of its estimated up/down degradations,
+   which prefers variables that hurt both children — the splits that
+   move the dual bound.
 
    All state lives in flat arrays indexed by variable; the search
    mutex serializes access, and ties break on the variable index so
    selection is deterministic. *)
 
-type rule = Most_fractional | Pseudocost
-
-let rule_to_string = function
-  | Most_fractional -> "most-fractional"
-  | Pseudocost -> "pseudocost"
-
-let rule_of_string = function
-  | "most-fractional" | "most_fractional" | "fractional" -> Some Most_fractional
-  | "pseudocost" -> Some Pseudocost
-  | _ -> None
-
-let pp_rule ppf r = Format.pp_print_string ppf (rule_to_string r)
+(* Observations per direction before a variable's pseudocost is
+   trusted without a strong-branching probe. *)
+let reliability = 1
 
 type t = {
-  rule : rule;
-  reliability : int;
-      (* observations per direction before a variable's pseudocost is
-         trusted without a strong-branching probe *)
   down_sum : float array;  (* sum of delta / frac per direction *)
   down_cnt : int array;
   up_sum : float array;
   up_cnt : int array;
 }
 
-let create ?(reliability = 1) rule ~nvars =
+let create ~nvars =
   {
-    rule;
-    reliability;
     down_sum = Array.make nvars 0.0;
     down_cnt = Array.make nvars 0;
     up_sum = Array.make nvars 0.0;
     up_cnt = Array.make nvars 0;
   }
-
-let rule t = t.rule
 
 (* Fractional integer variables with their relaxed values, in
    [int_vars] order. *)
@@ -67,8 +43,7 @@ let fractional ~integrality_tol int_vars (values : float array) =
     int_vars
 
 let unreliable t ~var =
-  t.rule = Pseudocost
-  && (t.down_cnt.(var) < t.reliability || t.up_cnt.(var) < t.reliability)
+  t.down_cnt.(var) < reliability || t.up_cnt.(var) < reliability
 
 let observe t ~var ~(dir : Node_store.dir) ~frac ~delta =
   if frac > 1e-12 && Float.is_finite delta then begin
@@ -101,34 +76,15 @@ let score t ~var ~value =
   let up = est (avg t.up_sum t.up_cnt var) fup in
   (Float.max down 1e-12 *. Float.max up 1e-12) +. (1e-6 *. fdown *. fup)
 
-(* The old solver's most-fractional pick, bit for bit: strictly
-   greater fraction wins, so the first maximum in candidate order is
-   selected. *)
-let select_most_fractional candidates =
+let select t candidates =
   let best = ref None in
-  let best_frac = ref 0.0 in
+  let best_score = ref neg_infinity in
   List.iter
     (fun (v, x) ->
-      let frac = Float.abs (x -. Float.round x) in
-      if frac > !best_frac then begin
+      let s = score t ~var:v ~value:x in
+      if s > !best_score then begin
         best := Some v;
-        best_frac := frac
+        best_score := s
       end)
     candidates;
   !best
-
-let select t candidates =
-  match t.rule with
-  | Most_fractional -> select_most_fractional candidates
-  | Pseudocost ->
-    let best = ref None in
-    let best_score = ref neg_infinity in
-    List.iter
-      (fun (v, x) ->
-        let s = score t ~var:v ~value:x in
-        if s > !best_score then begin
-          best := Some v;
-          best_score := s
-        end)
-      candidates;
-    !best

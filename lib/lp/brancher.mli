@@ -1,37 +1,27 @@
-(** Branching-variable selection: most-fractional or pseudocost.
+(** Branching-variable selection: pseudocost branching.
 
-    Pseudocost branching keeps per-variable, per-direction averages of
+    The brancher keeps per-variable, per-direction averages of
     the LP objective degradation per unit of rounded-away fraction and
     picks the candidate maximizing the product of its estimated
-    up/down degradations. Variables with fewer than [reliability]
-    observations in either direction are {!unreliable}: the search
+    up/down degradations. Variables not yet observed in both
+    directions are {!unreliable}: the search
     seeds them with strong-branching probes at shallow depth, feeding
     each probe's delta back through {!observe}.
 
     Selection is deterministic (ties break on candidate order, i.e.
     variable index); state is guarded by the caller's search mutex. *)
 
-type rule = Most_fractional | Pseudocost
-
-val rule_to_string : rule -> string
-val rule_of_string : string -> rule option
-val pp_rule : Format.formatter -> rule -> unit
-
 type t
 
-val create : ?reliability:int -> rule -> nvars:int -> t
-(** [reliability] (default 1) is the per-direction observation count
-    at which a variable's pseudocost is trusted without probing. *)
-
-val rule : t -> rule
+val create : nvars:int -> t
 
 val fractional : integrality_tol:float -> int list -> float array -> (int * float) list
 (** [(var, relaxed value)] for every integer variable whose value sits
     more than [integrality_tol] from an integer, in input order. *)
 
 val unreliable : t -> var:int -> bool
-(** True under [Pseudocost] while [var] lacks observations in either
-    direction — a strong-branching probe is worth its LP solves. *)
+(** True while [var] lacks an observation in either direction — a
+    strong-branching probe is worth its LP solves. *)
 
 val observe : t -> var:int -> dir:Node_store.dir -> frac:float -> delta:float -> unit
 (** Record that rounding [var] by [frac] in [dir] degraded the
@@ -43,5 +33,5 @@ val score : t -> var:int -> value:float -> float
     [value]; falls back to the fractionality when unobserved. *)
 
 val select : t -> (int * float) list -> int option
-(** The branching variable among [candidates] under the rule; [None]
-    iff the list is empty. *)
+(** The highest-{!score} variable among [candidates] (ties: the
+    first in candidate order); [None] iff the list is empty. *)

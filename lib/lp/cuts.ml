@@ -48,33 +48,20 @@ let pp_cut ppf c =
     (fun ppf -> List.iter (Format.fprintf ppf " %a" pp_term))
     c.terms c.rhs
 
-type config = {
-  gomory : bool;
-  cover : bool;
-  max_rounds_root : int;
-  max_rounds_node : int;
-  node_depth : int;
-  max_cuts : int;
-  max_per_round : int;
-  min_violation : float;
-  age_limit : int;
-}
+(* Pool capacity (also the row slots each worker state reserves), cuts
+   admitted per separation round, the violation needed to accept or
+   reactivate a cut, and the consecutive slack observations before a
+   cut is deactivated. *)
+let max_cuts = 96
+let max_per_round = 16
+let min_violation = 1e-6
+let age_limit = 8
 
-let default_config =
-  {
-    gomory = true;
-    cover = true;
-    max_rounds_root = 10;
-    max_rounds_node = 2;
-    node_depth = 4;
-    max_cuts = 96;
-    max_per_round = 16;
-    min_violation = 1e-6;
-    age_limit = 8;
-  }
-
-let off = { default_config with gomory = false; cover = false }
-let enabled c = c.gomory || c.cover
+(* The [k] first elements of a list. *)
+let rec take k = function
+  | [] -> []
+  | _ when k = 0 -> []
+  | x :: tl -> x :: take (k - 1) tl
 
 (* ---------- cut pool ---------- *)
 
@@ -86,7 +73,6 @@ type entry = {
 }
 
 type pool = {
-  config : config;
   mutable entries : entry array;
   mutable len : int;
   seen : (string, unit) Hashtbl.t;
@@ -94,9 +80,8 @@ type pool = {
   mutable n_reactivated : int;
 }
 
-let create_pool config =
+let create_pool () =
   {
-    config;
     entries = [||];
     len = 0;
     seen = Hashtbl.create 64;
@@ -104,7 +89,6 @@ let create_pool config =
     n_reactivated = 0;
   }
 
-let pool_config p = p.config
 let size p = p.len
 
 let entry p id =
@@ -125,7 +109,7 @@ let key terms rhs =
    rejected when the pool (= the reserved row capacity of the worker
    states) is full. Returns the new cut's id. *)
 let admit p ~provenance ~terms ~rhs =
-  if p.len >= p.config.max_cuts then None
+  if p.len >= max_cuts then None
   else begin
     let k = key terms rhs in
     if Hashtbl.mem p.seen k then None
@@ -149,7 +133,7 @@ let eval_terms terms value =
   List.fold_left (fun acc (v, c) -> acc +. (c *. value v)) 0.0 terms
 
 (* Activity-based aging, fed one LP optimum at a time: an active cut
-   with positive slack ages; once it exceeds the configured limit it
+   with positive slack ages; once it exceeds [age_limit] it
    is deactivated (its row is relaxed in the worker states, it never
    binds again unless re-violated). An inactive cut violated by the
    current point re-enters the active set. *)
@@ -161,7 +145,7 @@ let observe p value =
     if e.active then
       if slack > slack_tol then begin
         e.age <- e.age + 1;
-        if e.age > p.config.age_limit then begin
+        if e.age > age_limit then begin
           e.active <- false;
           p.n_aged_out <- p.n_aged_out + 1
         end
@@ -170,7 +154,7 @@ let observe p value =
         e.age <- 0;
         e.binding_rounds <- e.binding_rounds + 1
       end
-    else if slack < -.p.config.min_violation then begin
+    else if slack < -.min_violation then begin
       e.active <- true;
       e.age <- 0;
       p.n_reactivated <- p.n_reactivated + 1
@@ -346,8 +330,7 @@ let gomory_of_row ~st ~is_int ~global_lb ~global_ub ~row_terms ~row_rhs ~row_rel
   in
   (Gomory { basic_var = bc }, kept, !rhs_le, viol)
 
-let separate_gomory ~st ~is_int ~global_lb ~global_ub ~row_terms ~row_rhs ~row_rel
-    ~max_cuts ~min_violation =
+let separate_gomory ~st ~is_int ~global_lb ~global_ub ~row_terms ~row_rhs ~row_rel =
   let n = Simplex.structural_count st in
   let mrows = Simplex.num_rows st in
   (* Candidate rows: integer structural basics with fractional value,
@@ -383,12 +366,7 @@ let separate_gomory ~st ~is_int ~global_lb ~global_ub ~row_terms ~row_rhs ~row_r
         match Float.compare v2 v1 with 0 -> compare p1 p2 | c -> c)
       !out
   in
-  let rec take k = function
-    | [] -> []
-    | _ when k = 0 -> []
-    | x :: tl -> x :: take (k - 1) tl
-  in
-  take max_cuts out
+  take max_per_round out
 
 (* ---------- lifted knapsack cover separation ---------- *)
 
@@ -472,8 +450,7 @@ let cover_of_knapsack ~values ~row items b =
     end
   end
 
-let separate_cover ~model_rows ~is_binary ~global_lb ~global_ub ~values ~max_cuts
-    ~min_violation =
+let separate_cover ~model_rows ~is_binary ~global_lb ~global_ub ~values =
   let out = ref [] in
   List.iter
     (fun (row, terms, rel, rhs) ->
@@ -499,12 +476,7 @@ let separate_cover ~model_rows ~is_binary ~global_lb ~global_ub ~values ~max_cut
         match Float.compare v2 v1 with 0 -> compare p1 p2 | c -> c)
       !out
   in
-  let rec take k = function
-    | [] -> []
-    | _ when k = 0 -> []
-    | x :: tl -> x :: take (k - 1) tl
-  in
-  take max_cuts out
+  take max_per_round out
 
 (* ---------- exact rational audit ---------- *)
 

@@ -33,27 +33,16 @@ type cut = {
 
 val pp_cut : Format.formatter -> cut -> unit
 
-(** {1 Configuration} *)
+(** {1 Tuning constants} *)
 
-type config = {
-  gomory : bool;
-  cover : bool;
-  max_rounds_root : int;  (** separation rounds at the root *)
-  max_rounds_node : int;  (** separation rounds per eligible tree node *)
-  node_depth : int;       (** separate only at nodes of depth <= this *)
-  max_cuts : int;
-      (** pool capacity — also the row slots reserved per worker state *)
-  max_per_round : int;    (** admitted cuts per separation round *)
-  min_violation : float;  (** violation needed to accept / reactivate *)
-  age_limit : int;
-      (** consecutive slack observations before deactivation *)
-}
+val max_cuts : int
+(** Pool capacity — also the row slots reserved per worker state. *)
 
-val default_config : config
-val off : config
-(** Both families disabled; [enabled off = false]. *)
+val max_per_round : int
+(** Cuts admitted per separation round. *)
 
-val enabled : config -> bool
+val age_limit : int
+(** Consecutive slack observations before a cut is deactivated. *)
 
 (** {1 Cut pool}
 
@@ -65,8 +54,7 @@ val enabled : config -> bool
 
 type pool
 
-val create_pool : config -> pool
-val pool_config : pool -> config
+val create_pool : unit -> pool
 
 val size : pool -> int
 (** Cuts ever admitted (active + aged out). *)
@@ -85,7 +73,7 @@ val admit :
 
 val observe : pool -> (int -> float) -> unit
 (** Feed one LP optimum to the aging machinery: active cuts with slack
-    age (and deactivate past [age_limit]); inactive cuts violated by
+    age (and deactivate past {!age_limit}); inactive cuts violated by
     the point reactivate. *)
 
 type pool_stats = {
@@ -107,8 +95,6 @@ val separate_gomory :
   row_terms:(int -> (int * float) list) ->
   row_rhs:(int -> float) ->
   row_rel:(int -> Model.relation) ->
-  max_cuts:int ->
-  min_violation:float ->
   (provenance * (int * float) list * float * float) list
 (** Gomory mixed-integer cuts from the current optimal basis of [st]:
     one candidate per integer structural variable basic at a
@@ -116,8 +102,8 @@ val separate_gomory :
     are the root bounds the shifts use; [row_terms]/[row_rhs]/[row_rel]
     describe every live row (model rows and appended cut rows) for
     slack substitution. Returns [(provenance, terms, rhs, violation)]
-    in decreasing violation order, at most [max_cuts], each violated
-    by more than [min_violation] at the current point. *)
+    in decreasing violation order, at most {!max_per_round}, each
+    violated by more than [1e-6] at the current point. *)
 
 val separate_cover :
   model_rows:(int * (int * float) list * Model.relation * float) list ->
@@ -125,8 +111,6 @@ val separate_cover :
   global_lb:float array ->
   global_ub:float array ->
   values:float array ->
-  max_cuts:int ->
-  min_violation:float ->
   (provenance * (int * float) list * float * float) list
 (** Lifted minimal-cover cuts from knapsack relaxations of the given
     model rows ([Le] directly, [Ge] negated; non-binary terms pushed

@@ -15,19 +15,12 @@
 
 module Budget = Agingfp_util.Budget
 
-type config = {
-  diving : bool;
-  pump : bool;
-  max_dive_lps : int;
-  pump_max_iters : int;
-  budget_fraction : float;
-}
-
-let default_config =
-  { diving = true; pump = true; max_dive_lps = 200; pump_max_iters = 60; budget_fraction = 0.25 }
-
-let off = { default_config with diving = false; pump = false }
-let enabled c = c.diving || c.pump
+(* LP re-solve cap for one dive, pump rounding/solve alternations, and
+   the share of the solve budget the caller slices off for the whole
+   heuristic phase. *)
+let max_dive_lps = 200
+let pump_max_iters = 60
+let budget_fraction = 0.25
 
 type outcome = { values : float array; objective : float; source : string }
 type result = { found : outcome list; lps : int }
@@ -58,12 +51,12 @@ let pick_fractional ~int_vars (sol : Simplex.solution) =
     int_vars;
   if !bestv < 0 then None else Some (!bestv, sol.Simplex.values.(!bestv))
 
-let dive config ~model ~obj_expr ~st ~int_vars ~budget ~relaxed =
+let dive ~model ~obj_expr ~st ~int_vars ~budget ~relaxed =
   let saved = ref [] in
   let lps = ref 0 in
   let outcome = ref None in
   let rec step (sol : Simplex.solution) =
-    if Budget.expired budget || !lps >= config.max_dive_lps then ()
+    if Budget.expired budget || !lps >= max_dive_lps then ()
     else
       match pick_fractional ~int_vars sol with
       | None ->
@@ -86,7 +79,7 @@ let dive config ~model ~obj_expr ~st ~int_vars ~budget ~relaxed =
             if
               alt >= lo -. 1e-9
               && alt <= hi +. 1e-9
-              && !lps < config.max_dive_lps
+              && !lps < max_dive_lps
               && not (Budget.expired budget)
             then begin
               Simplex.set_var_bounds st v ~lb:alt ~ub:alt;
@@ -108,7 +101,7 @@ let dive config ~model ~obj_expr ~st ~int_vars ~budget ~relaxed =
    range contribute nothing. Cycles are broken by flipping the
    integers that disagree most with the LP point, a deterministic
    stand-in for the classic randomized perturbation. *)
-let pump config ~model ~obj_expr ~st ~int_vars ~budget ~(relaxed : Simplex.solution) =
+let pump ~model ~obj_expr ~st ~int_vars ~budget ~(relaxed : Simplex.solution) =
   let lps = ref 0 in
   let outcome = ref None in
   let xt = Array.copy relaxed.Simplex.values in
@@ -135,7 +128,7 @@ let pump config ~model ~obj_expr ~st ~int_vars ~budget ~(relaxed : Simplex.solut
         { values = direct; objective = Expr.eval (fun v -> direct.(v)) obj_expr; source = "pump" }
   | Error _ -> ());
   let rec iterate it =
-    if !outcome <> None || it >= config.pump_max_iters || Budget.expired budget then ()
+    if !outcome <> None || it >= pump_max_iters || Budget.expired budget then ()
     else begin
       let cost =
         List.filter_map
@@ -197,17 +190,17 @@ let pump config ~model ~obj_expr ~st ~int_vars ~budget ~(relaxed : Simplex.solut
   Simplex.reset_cost st;
   (!outcome, !lps)
 
-let run config ~model ~st ~int_vars ~budget ~relaxed =
+let run ~model ~st ~int_vars ~budget ~relaxed =
   let _, obj_expr = Model.objective model in
   let found = ref [] in
   let lps = ref 0 in
-  if config.diving && not (Budget.expired budget) then begin
-    let o, k = dive config ~model ~obj_expr ~st ~int_vars ~budget ~relaxed in
+  if not (Budget.expired budget) then begin
+    let o, k = dive ~model ~obj_expr ~st ~int_vars ~budget ~relaxed in
     lps := !lps + k;
     match o with Some o -> found := o :: !found | None -> ()
   end;
-  if config.pump && not (Budget.expired budget) then begin
-    let o, k = pump config ~model ~obj_expr ~st ~int_vars ~budget ~relaxed in
+  if not (Budget.expired budget) then begin
+    let o, k = pump ~model ~obj_expr ~st ~int_vars ~budget ~relaxed in
     lps := !lps + k;
     match o with Some o -> found := o :: !found | None -> ()
   end;

@@ -15,19 +15,9 @@
     failure degrades into "found nothing", never into an infeasible
     incumbent. *)
 
-type config = {
-  diving : bool;
-  pump : bool;
-  max_dive_lps : int;     (** LP re-solve cap for one dive *)
-  pump_max_iters : int;   (** pump rounding/solve alternations *)
-  budget_fraction : float;
-      (** share of the solve budget the caller should slice off for
-          the heuristic phase (consumed by {!Milp}) *)
-}
-
-val default_config : config
-val off : config
-val enabled : config -> bool
+val budget_fraction : float
+(** Share of the solve budget the caller should slice off for the
+    heuristic phase (consumed by {!Milp}). *)
 
 type outcome = {
   values : float array; (** integral on the integer variables *)
@@ -41,14 +31,13 @@ type result = {
 }
 
 val run :
-  config ->
   model:Model.t ->
   st:Simplex.state ->
   int_vars:int list ->
   budget:Agingfp_util.Budget.t ->
   relaxed:Simplex.solution ->
   result
-(** Run the enabled heuristics from the root LP optimum [relaxed].
+(** Run diving, then the pump, from the root LP optimum [relaxed].
     [model] is the presolved model (used for feasibility checking and
     the objective); [budget] is the heuristic sub-budget — the caller
     slices it from the solve budget and restores the state's budget

@@ -15,11 +15,8 @@ type params = {
   warm_start : bool;
   budget : Budget.t;
   jobs : int;
-  mip_gap : float;
-  traversal : Node_store.strategy;
-  branching : Brancher.rule;
-  cuts : Cuts.config;
-  heuristics : Heuristics.config;
+  cuts : bool;
+  heuristics : bool;
 }
 
 let default_params =
@@ -32,11 +29,8 @@ let default_params =
     warm_start = true;
     budget = Budget.unlimited;
     jobs = 1;
-    mip_gap = 0.0;
-    traversal = Node_store.Hybrid;
-    branching = Brancher.Pseudocost;
-    cuts = Cuts.default_config;
-    heuristics = Heuristics.default_config;
+    cuts = true;
+    heuristics = true;
   }
 
 type stats = {
@@ -167,6 +161,12 @@ module Pool = Agingfp_util.Pool
 let strong_branch_depth = 2
 let strong_branch_width = 4
 
+(* Cut separation rounds at the root, and per tree node at depth up to
+   [cut_node_depth]. *)
+let cut_rounds_root = 10
+let cut_rounds_node = 2
+let cut_node_depth = 4
+
 (* Relative optimality gap of [primal] against [dual], both in
    minimize-sign space. [infinity] while nothing is proven (the root
    is still open), [0] once the tree is drained. *)
@@ -177,8 +177,8 @@ let rel_gap ~primal ~dual =
   else if dual > 0.0 then 0.0
   else infinity
 
-(* One search engine for every traversal and every [jobs] count: an
-   explicit {!Node_store} tree pumped by [jobs] workers. The shared
+(* One search engine for every [jobs] count: an explicit
+   {!Node_store} tree pumped by [jobs] workers. The shared
    presolved [model] is never mutated: every worker owns a private
    model copy and a private assembled solver state, so warm bases stay
    domain-local (a [Simplex.state] must not cross domains). The
@@ -192,11 +192,11 @@ let rel_gap ~primal ~dual =
    a strictly better integer point, so closing it unexplored never
    changes the optimal objective — only the node count.
 
-   Soundness of gap termination: {!Node_store.dual_bound} is a valid
+   Soundness of the reported gap: {!Node_store.dual_bound} is a valid
    bound on every integer point still reachable (open and in-flight
    subtrees), and every closed subtree is dominated by the incumbent;
-   so once [(primal - dual) / scale <= mip_gap] the incumbent is
-   certified within the tolerance of the global optimum. *)
+   so [(primal - dual) / scale] bounds the incumbent's distance from
+   the global optimum. *)
 let tree_search ~params ~sign ~int_vars ~lp_params ~jobs model =
   let n_vars = Model.num_vars model in
   let root_lb = Array.init n_vars (Model.var_lb model) in
@@ -205,9 +205,8 @@ let tree_search ~params ~sign ~int_vars ~lp_params ~jobs model =
      every Gomory shift see only ROOT (presolved) bounds, never
      node-tightened branching bounds, so each admitted cut is valid for
      the whole tree and can be appended to any worker's state. *)
-  let cut_cfg = params.cuts in
-  let cuts_on = Cuts.enabled cut_cfg && int_vars <> [] in
-  let pool = Cuts.create_pool cut_cfg in
+  let cuts_on = params.cuts && int_vars <> [] in
+  let pool = Cuts.create_pool () in
   let base_rows = Model.num_constraints model in
   let int_mark = Array.make (max 1 n_vars) false in
   List.iter (fun v -> int_mark.(v) <- true) int_vars;
@@ -230,14 +229,14 @@ let tree_search ~params ~sign ~int_vars ~lp_params ~jobs model =
   let root_obj0 = ref None in
   let root_obj1 = ref None in
   let heur_found = ref 0 in
-  let heur_on = Heuristics.enabled params.heuristics && int_vars <> [] in
+  let heur_on = params.heuristics && int_vars <> [] in
   let mx = Mutex.create () in
   let cond = Condition.create () in
   let store = Node_store.create ~workers:jobs in
   ignore
     (Node_store.add store ~parent:(-1) ~depth:0 ~bound:neg_infinity ~fixes:[]
        ~branch:None);
-  let brancher = Brancher.create params.branching ~nvars:n_vars in
+  let brancher = Brancher.create ~nvars:n_vars in
   let nodes = ref 0 in
   let incumbent = ref None in
   let halt = ref false in
@@ -263,15 +262,6 @@ let tree_search ~params ~sign ~int_vars ~lp_params ~jobs model =
     | Some (s : Simplex.solution) -> b < (sign *. s.objective) -. 1e-9
   in
   let better obj = better_bound (sign *. obj) in
-  let gap_reached () =
-    params.mip_gap > 0.0
-    &&
-    match !incumbent with
-    | None -> false
-    | Some (s : Simplex.solution) ->
-      rel_gap ~primal:(sign *. s.objective) ~dual:(Node_store.dual_bound store)
-      <= params.mip_gap
-  in
   (* Pop the next node to expand. A node abandoned by a budget stop is
      deliberately never [finish]ed: its bound keeps anchoring the
      global dual bound, so an interrupted search never overstates what
@@ -279,7 +269,7 @@ let tree_search ~params ~sign ~int_vars ~lp_params ~jobs model =
   let rec take wid =
     if !halt then None
     else
-      match Node_store.take store ~wid params.traversal with
+      match Node_store.take store ~wid with
       | Some n ->
         if Budget.expired params.budget then begin
           give_up (Budget.status params.budget);
@@ -293,11 +283,6 @@ let tree_search ~params ~sign ~int_vars ~lp_params ~jobs model =
           (* Pruned by the incumbent: closed without LP work. *)
           Node_store.finish store ~wid;
           take wid
-        end
-        else if gap_reached () then begin
-          note_stop Budget.Gap_limit;
-          halt := true;
-          None
         end
         else begin
           incr nodes;
@@ -313,7 +298,7 @@ let tree_search ~params ~sign ~int_vars ~lp_params ~jobs model =
   let worker_stats = Array.make jobs None in
   let worker wid () =
     let wmodel = Model.copy model in
-    let extra_rows = if cuts_on then cut_cfg.Cuts.max_cuts else 0 in
+    let extra_rows = if cuts_on then Cuts.max_cuts else 0 in
     let wst = Simplex.assemble ~params:lp_params ~extra_rows wmodel in
     let solved_once = ref false in
     let applied = ref [] in
@@ -364,23 +349,17 @@ let tree_search ~params ~sign ~int_vars ~lp_params ~jobs model =
     let separate_round (sol : Simplex.solution) =
       let before = !wn_cuts in
       let gom =
-        if cut_cfg.Cuts.gomory then
-          Cuts.separate_gomory ~st:wst
-            ~is_int:(fun v -> int_mark.(v))
-            ~global_lb:root_lb ~global_ub:root_ub ~row_terms ~row_rhs ~row_rel
-            ~max_cuts:cut_cfg.Cuts.max_per_round ~min_violation:cut_cfg.Cuts.min_violation
-        else []
+        Cuts.separate_gomory ~st:wst
+          ~is_int:(fun v -> int_mark.(v))
+          ~global_lb:root_lb ~global_ub:root_ub ~row_terms ~row_rhs ~row_rel
       in
       let cov =
-        if cut_cfg.Cuts.cover then
-          Cuts.separate_cover ~model_rows:cover_rows ~is_binary ~global_lb:root_lb
-            ~global_ub:root_ub ~values:sol.Simplex.values
-            ~max_cuts:cut_cfg.Cuts.max_per_round ~min_violation:cut_cfg.Cuts.min_violation
-        else []
+        Cuts.separate_cover ~model_rows:cover_rows ~is_binary ~global_lb:root_lb
+          ~global_ub:root_ub ~values:sol.Simplex.values
       in
       let cands =
         List.filteri
-          (fun i _ -> i < cut_cfg.Cuts.max_per_round)
+          (fun i _ -> i < Cuts.max_per_round)
           (List.stable_sort
              (fun (_, _, _, va) (_, _, _, vb) -> Float.compare vb va)
              (gom @ cov))
@@ -418,13 +397,11 @@ let tree_search ~params ~sign ~int_vars ~lp_params ~jobs model =
         let hbudget =
           if Budget.is_unlimited params.budget then Budget.unlimited
           else
-            Budget.slice params.budget
-              ~fraction:params.heuristics.Heuristics.budget_fraction
+            Budget.slice params.budget ~fraction:Heuristics.budget_fraction
         in
         Simplex.set_budget wst hbudget;
         let hres =
-          Heuristics.run params.heuristics ~model:wmodel ~st:wst ~int_vars ~budget:hbudget
-            ~relaxed:sol
+          Heuristics.run ~model:wmodel ~st:wst ~int_vars ~budget:hbudget ~relaxed:sol
         in
         Simplex.set_budget wst lp_params.Simplex.budget;
         List.iter
@@ -524,9 +501,8 @@ let tree_search ~params ~sign ~int_vars ~lp_params ~jobs model =
         end;
         let rounds =
           if (not cuts_on) || locked (fun () -> !halt) then 0
-          else if at_root then cut_cfg.Cuts.max_rounds_root
-          else if n.Node_store.depth <= cut_cfg.Cuts.node_depth then
-            cut_cfg.Cuts.max_rounds_node
+          else if at_root then cut_rounds_root
+          else if n.Node_store.depth <= cut_node_depth then cut_rounds_node
           else 0
         in
         match cut_loop rounds sol0 with
@@ -624,10 +600,8 @@ let tree_search ~params ~sign ~int_vars ~lp_params ~jobs model =
                 let down_fix = (v, lb, Float.of_int (int_of_float (floor x))) in
                 let up_fix = (v, Float.of_int (int_of_float (ceil x)), ub) in
                 (* Far child first, near child second: the near child
-                   gets the larger id, so LIFO diving (Dfs and
-                   Hybrid's plunge) explores the child nearest the
-                   relaxed value first — the old solver's dive
-                   order. *)
+                   gets the larger id, so the LIFO plunge explores the
+                   child nearest the relaxed value first. *)
                 if fdown > 0.5 then begin
                   child Node_store.Down down_fix fdown;
                   child Node_store.Up up_fix (1.0 -. fdown)

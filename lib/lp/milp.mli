@@ -1,14 +1,11 @@
 (** Mixed-integer solving on top of {!Simplex}.
 
     The search is a real branch & bound tree ({!Node_store}): explicit
-    nodes with parent links and per-node dual bounds, a pluggable
-    traversal strategy (depth-first diving, best-bound-first, or a
-    plunge-then-jump hybrid), pseudocost branching seeded by
-    strong-branching probes ({!Brancher}), a global dual bound
-    maintained as the minimum over open nodes, and early termination
-    once the relative optimality gap reaches [mip_gap] (stop reason
-    {!Agingfp_util.Budget.Gap_limit} — a certified stop, not a budget
-    cut).
+    nodes with parent links and per-node dual bounds, plunge-then-jump
+    node selection (dive depth first, jump to the best dual bound when
+    the dive dies), pseudocost branching seeded by strong-branching
+    probes ({!Brancher}), and a global dual bound maintained as the
+    minimum over open nodes.
 
     Two entry points:
 
@@ -29,8 +26,7 @@
 type result =
   | Feasible of Simplex.solution
       (** Integer-feasible; optimal when the search ran to completion
-          with an objective, within [mip_gap] of optimal on a
-          [Gap_limit] stop, first-found otherwise. *)
+          with [first_solution = false], first-found otherwise. *)
   | Infeasible
   | Unknown  (** Budget exhausted before any integer solution. *)
 
@@ -39,11 +35,16 @@ type params = {
   node_limit : int;
   integrality_tol : float;
   first_solution : bool;
-      (** Stop at the first integer-feasible node. The floorplanner's
-          formulation (3) has a null objective, so any feasible point
-          is as good as any other; this is the default. Strong
-          branching probes are skipped in this mode — they only pay
-          for dual-bound growth. *)
+      (** Stop at the first integer-feasible point (a feasible node or
+          a root-heuristic incumbent); the default. The floorplanner
+          asks formulation (3) for feasibility only: its default
+          objective (the floorplan library's
+          [Ilp_model.Min_displacement]) steers which feasible
+          floorplan the search reaches first, but the returned point
+          is not proven optimal. [false] runs
+          the search to an optimality proof — the reference mode the
+          tests compare against. Strong branching probes are skipped
+          when [true]: they only pay for dual-bound growth. *)
   presolve : bool;  (** Run {!Presolve} before the search. Default [true]. *)
   warm_start : bool;
       (** Re-optimize tree nodes from the previous basis instead of
@@ -66,46 +67,27 @@ type params = {
           objective as the sequential one; node counts and which
           optimal point is reported may differ. Values [< 1] are
           treated as [1]. *)
-  mip_gap : float;
-      (** Relative optimality-gap tolerance: with an incumbent at
-          (sign-corrected) objective [p] and global dual bound [d],
-          the search stops once [(p - d) / max(|p|, |d|, 1e-9) <=
-          mip_gap], reporting stop reason [Gap_limit] and the achieved
-          gap in {!stats}. [0.0] (the default) disables early gap
-          termination and reproduces the run-to-completion proof. *)
-  traversal : Node_store.strategy;
-      (** Node selection order. [Hybrid] (the default) dives like
-          [Dfs] while the current plunge survives and jumps to the
-          best dual bound when it dies; [Best_first] grows the dual
-          bound fastest; [Dfs] is the classic memory-light dive.
-          All three reach the same status/objective at [mip_gap =
-          0.0] with [first_solution = false]. *)
-  branching : Brancher.rule;
-      (** Branching-variable rule. [Pseudocost] (the default) is
-          reliability-initialized by a few strong-branching probes at
-          shallow depth; [Most_fractional] is the classic fallback.
-          Both reach the same final objective on complete searches. *)
-  cuts : Cuts.config;
+  cuts : bool;
       (** Cutting-plane separation ({!Cuts}): Gomory mixed-integer
           cuts from the warm tableau plus lifted knapsack covers,
           managed by a shared cut pool with activity aging. Rounds run
           at the root and at shallow tree nodes; every admitted cut is
           valid for the integer hull of the presolved model, so
-          cuts-on and cuts-off searches agree on status and objective
-          at [mip_gap = 0.0]. The incumbent is exactly audited against
-          the whole pool in rational arithmetic before it is returned
-          ({!Cuts.check_all}); a violation raises
-          {!Agingfp_util.Invariant.Violation}. Default
-          {!Cuts.default_config}; {!Cuts.off} disables separation. *)
-  heuristics : Heuristics.config;
+          cuts-on and cuts-off searches agree on status and, with
+          [first_solution = false], on the objective. The incumbent is
+          exactly audited against the whole pool in rational
+          arithmetic before it is returned ({!Cuts.check_all}); a
+          violation raises {!Agingfp_util.Invariant.Violation}.
+          Default [true]; [false] is the bare-search reference. *)
+  heuristics : bool;
       (** Root primal heuristics ({!Heuristics}): diving and the
           feasibility pump, run on the root relaxation under
-          [budget_fraction] of the solve budget to seed the incumbent
-          before node 1. Candidates are installed only after passing
-          {!Model.check_feasible}. With [first_solution] they run
-          before separation (an incumbent ends the search); otherwise
-          after, on the cut-tightened relaxation. Default
-          {!Heuristics.default_config}; {!Heuristics.off} disables. *)
+          {!Heuristics.budget_fraction} of the solve budget to seed
+          the incumbent before node 1. Candidates are installed only
+          after passing {!Model.check_feasible}. With [first_solution]
+          they run before separation (an incumbent ends the search);
+          otherwise after, on the cut-tightened relaxation. Default
+          [true]; [false] is the bare-search reference. *)
 }
 
 val default_params : params
@@ -133,16 +115,14 @@ type stats = {
           models are not comparable). *)
   gap : float;
       (** achieved relative optimality gap: [0] on a completed proof,
-          [<= mip_gap] on a [Gap_limit] stop, the honest distance
-          between incumbent and dual bound on any other early stop
-          ([infinity] when nothing was proven). Aggregation keeps the
+          the honest distance between incumbent and dual bound on any
+          early stop ([infinity] when nothing was proven). Aggregation keeps the
           maximum — an aggregate is only as certified as its loosest
           member. *)
   stop : Agingfp_util.Budget.stop_reason;
       (** Why the search ended: [Optimal] means it ran to natural
           completion (proved optimality/infeasibility or hit
-          [first_solution]); [Gap_limit] is a certified
-          gap-tolerance stop; anything else names the budget limit or
+          [first_solution]); anything else names the budget limit or
           fault that cut it short. Aggregation keeps the most severe
           reason. *)
   cuts_separated : int;

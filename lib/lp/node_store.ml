@@ -3,8 +3,9 @@
    relaxation, so the store can answer the two questions the old
    LIFO-of-fix-lists could not:
 
-   - "which node next?" under a pluggable traversal strategy (depth
-     first, best first, or a plunge-then-jump hybrid), and
+   - "which node next?" under a plunge-then-jump rule (dive depth
+     first while the dive lives, jump to the best bound when it dies),
+     and
    - "what is the global dual bound?" — the minimum (in minimize-sign
      space) over every open and in-flight node, which is what turns an
      incumbent into a certified bounded-suboptimality result.
@@ -18,21 +19,6 @@
    ambient entropy. *)
 
 module Heap = Agingfp_util.Heap
-
-type strategy = Dfs | Best_first | Hybrid
-
-let strategy_to_string = function
-  | Dfs -> "dfs"
-  | Best_first -> "best-first"
-  | Hybrid -> "hybrid"
-
-let strategy_of_string = function
-  | "dfs" -> Some Dfs
-  | "best-first" | "best_first" | "best" -> Some Best_first
-  | "hybrid" -> Some Hybrid
-  | _ -> None
-
-let pp_strategy ppf s = Format.pp_print_string ppf (strategy_to_string s)
 
 type dir = Down | Up
 
@@ -121,19 +107,14 @@ let claim t ~wid (n : node) =
   t.active_bound.(wid) <- n.bound;
   Some n
 
-let take t ~wid strategy =
-  match strategy with
-  | Dfs -> ( match dfs_top t with None -> None | Some n -> claim t ~wid n)
-  | Best_first -> ( match best_top t with None -> None | Some n -> claim t ~wid n)
-  | Hybrid -> (
-    (* Plunge while the dive is alive: prefer a child of the node
-       whose children were pushed last (that is exactly the DFS top
-       when the dive continues). When the dive dies — the last
-       expansion produced no surviving children — jump to the best
-       dual bound. *)
-    match dfs_top t with
-    | Some n when n.parent = t.last_expanded -> claim t ~wid n
-    | _ -> ( match best_top t with None -> None | Some n -> claim t ~wid n))
+(* Plunge while the dive is alive: prefer a child of the node whose
+   children were pushed last (that is exactly the LIFO top when the
+   dive continues). When the dive dies — the last expansion produced
+   no surviving children — jump to the best dual bound. *)
+let take t ~wid =
+  match dfs_top t with
+  | Some n when n.parent = t.last_expanded -> claim t ~wid n
+  | _ -> ( match best_top t with None -> None | Some n -> claim t ~wid n)
 
 let finish t ~wid =
   t.active.(wid) <- false;

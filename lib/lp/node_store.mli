@@ -3,28 +3,17 @@
     Stores the open frontier of a B&B search as real nodes — parent
     link, depth, path bound-changes and the dual bound inherited from
     the parent's LP relaxation — indexed by two lazy-deletion heaps so
-    the search can pop nodes depth-first, best-bound-first, or with a
-    plunge-then-jump hybrid, and can always read the global dual bound
-    (the minimum over open and in-flight nodes) needed for
-    optimality-gap termination.
+    the search can pop nodes plunge-then-jump — dive depth first while
+    the current dive keeps producing children, jump to the best dual
+    bound when it dies — and can always read the global dual bound
+    (the minimum over open and in-flight nodes) that certifies the
+    reported optimality gap.
 
     Determinism: every heap key ends with the node id (assigned in
     creation order), so traversal is a pure function of the insertion
     sequence — independent of hash seeds ([OCAMLRUNPARAM=R]) and of
     physical addresses. The store itself is not thread-safe; the
     search serializes access under its incumbent mutex. *)
-
-type strategy =
-  | Dfs         (** newest node first: the classic diving search *)
-  | Best_first  (** lowest dual bound first (ties: oldest node) *)
-  | Hybrid
-      (** plunge like [Dfs] while the current dive keeps producing
-          children, jump to the best-bound node when it dies — depth
-          first's quick incumbents with best first's bound growth *)
-
-val strategy_to_string : strategy -> string
-val strategy_of_string : string -> strategy option
-val pp_strategy : Format.formatter -> strategy -> unit
 
 type dir = Down | Up
 
@@ -66,10 +55,13 @@ val add :
 (** Enqueue a node; returns its id (creation order, the deterministic
     tie-break key). *)
 
-val take : t -> wid:int -> strategy -> node option
-(** Pop the next node under [strategy] and mark it in-flight for
-    worker [wid] (its bound keeps anchoring {!dual_bound} until
-    {!finish}). [None] when the open set is empty — in-flight nodes of
+val take : t -> wid:int -> node option
+(** Pop the next node and mark it in-flight for worker [wid]: the
+    newest node while it is a child of the most recently expanded one
+    (the dive goes on), otherwise the lowest dual bound (ties: oldest
+    node) — depth first's quick incumbents with best first's bound
+    growth. Its bound keeps anchoring {!dual_bound} until {!finish}.
+    [None] when the open set is empty — in-flight nodes of
     other workers may still produce children. *)
 
 val finish : t -> wid:int -> unit

@@ -921,6 +921,9 @@ let reoptimize st =
         st.rows_dirty <- false;
         factorize_basis st
       end;
+      (* A singular refactorization during the previous solve left no
+         usable factors: nothing warm survives, restart cold. *)
+      if not (Basis.is_factored st.bas) then raise Singular_basis;
       recompute_basics st;
       match dual_restore st with
       | Dual_infeasible -> Some Infeasible

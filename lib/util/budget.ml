@@ -1,6 +1,5 @@
 type stop_reason =
   | Optimal
-  | Gap_limit
   | Deadline
   | Node_limit
   | Iteration_limit
@@ -8,7 +7,6 @@ type stop_reason =
 
 let stop_reason_to_string = function
   | Optimal -> "optimal"
-  | Gap_limit -> "gap-limit"
   | Deadline -> "deadline"
   | Node_limit -> "node-limit"
   | Iteration_limit -> "iteration-limit"
@@ -18,11 +16,10 @@ let pp_stop_reason ppf r = Format.pp_print_string ppf (stop_reason_to_string r)
 
 let severity = function
   | Optimal -> 0
-  | Gap_limit -> 1
-  | Node_limit -> 2
-  | Iteration_limit -> 3
-  | Deadline -> 4
-  | Fault _ -> 5
+  | Node_limit -> 1
+  | Iteration_limit -> 2
+  | Deadline -> 3
+  | Fault _ -> 4
 
 let worst a b = if severity b > severity a then b else a
 

@@ -26,11 +26,6 @@ type t
 
 type stop_reason =
   | Optimal          (** ran to completion; the budget did not bind *)
-  | Gap_limit
-      (** stopped early with a certified incumbent: the relative
-          optimality gap reached the requested tolerance (branch &
-          bound's [mip_gap]). A successful stop, not a budget cut —
-          barely more severe than [Optimal]. *)
   | Deadline         (** wall-clock deadline reached *)
   | Node_limit       (** branch & bound node allowance exhausted *)
   | Iteration_limit  (** simplex iteration allowance exhausted *)
@@ -41,7 +36,7 @@ val stop_reason_to_string : stop_reason -> string
 
 val worst : stop_reason -> stop_reason -> stop_reason
 (** The more severe of two reasons ([Fault] > [Deadline] >
-    [Iteration_limit] > [Node_limit] > [Gap_limit] > [Optimal]) —
+    [Iteration_limit] > [Node_limit] > [Optimal]) —
     aggregating many component solves keeps the reason that taints the
     aggregate most. *)
 

@@ -368,12 +368,12 @@ let test_rotate_not_worse_than_freeze () =
 
 let test_remap_monolithic_strategy () =
   let design, baseline = tiny_placed () in
-  let params = { Remap.default_params with strategy = Remap.Monolithic } in
+  let params = { Remap.default_params with monolithic_var_limit = max_int } in
   check_result design baseline (Remap.solve ~params ~mode:Rotation.Freeze design baseline)
 
 let test_remap_per_context_strategy () =
   let design, baseline = tiny_placed () in
-  let params = { Remap.default_params with strategy = Remap.Per_context } in
+  let params = { Remap.default_params with monolithic_var_limit = -1 } in
   check_result design baseline (Remap.solve ~params ~mode:Rotation.Freeze design baseline)
 
 let test_remap_null_objective () =

@@ -156,6 +156,18 @@ let test_sparse_lu_singular () =
   Alcotest.check_raises "singular" Lu.Singular (fun () ->
       ignore (Lu.of_matrix (Matrix.of_arrays [| [| 1.; 2. |]; [| 2.; 4. |] |])))
 
+(* A refactorization that dies on a singular column must not leave
+   half-rebuilt factors that still count as ready. *)
+let test_sparse_lu_singular_refactor () =
+  let cols a j = ([| 0; 1 |], [| Matrix.get a 0 j; Matrix.get a 1 j |]) in
+  let t = Lu.create 2 in
+  Lu.factorize t ~col:(cols (Matrix.of_arrays [| [| 2.; 1. |]; [| 1.; 3. |] |]));
+  Alcotest.check_raises "singular" Lu.Singular (fun () ->
+      Lu.factorize t ~col:(cols (Matrix.of_arrays [| [| 1.; 2. |]; [| 2.; 4. |] |])));
+  match Lu.ftran t [| 1.; 1. |] with
+  | () -> Alcotest.fail "ftran ran on the factors of a failed factorization"
+  | exception Invalid_argument _ -> ()
+
 let test_sparse_lu_btran () =
   (* Aᵀ y = c through the sparse kernel vs the dense LU on Aᵀ. *)
   let a = Matrix.of_arrays [| [| 3.; 1.; 0. |]; [| 0.; 2.; 1. |]; [| 1.; 0.; 4. |] |] in
@@ -274,6 +286,8 @@ let () =
           Alcotest.test_case "known system" `Quick test_sparse_lu_known;
           Alcotest.test_case "pivoting" `Quick test_sparse_lu_pivoting;
           Alcotest.test_case "singular" `Quick test_sparse_lu_singular;
+          Alcotest.test_case "singular refactor unfactors" `Quick
+            test_sparse_lu_singular_refactor;
           Alcotest.test_case "btran" `Quick test_sparse_lu_btran;
           Alcotest.test_case "eta update" `Quick test_sparse_lu_update;
           Alcotest.test_case "accounting" `Quick test_sparse_lu_accounting;

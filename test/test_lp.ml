@@ -11,8 +11,6 @@ module Basis = Agingfp_lp.Basis
 module Lp_format = Agingfp_lp.Lp_format
 module Analyze = Agingfp_lp.Analyze
 module Certify = Agingfp_lp.Certify
-module Cuts = Agingfp_lp.Cuts
-module Heuristics = Agingfp_lp.Heuristics
 module Rng = Agingfp_util.Rng
 
 let get_optimal = function
@@ -753,8 +751,8 @@ let test_milp_stats_warm_branching () =
     {
       Milp.default_params with
       first_solution = false;
-      cuts = Cuts.off;
-      heuristics = Heuristics.off;
+      cuts = false;
+      heuristics = false;
     }
   in
   let result, stats = Milp.solve_with_stats ~params m in
@@ -834,33 +832,34 @@ let brute_force_ilp nvars cons obj =
   done;
   !best
 
+(* A random small binary Maximize model together with its raw data,
+   so 0/1 enumeration can solve the same instance. *)
+let random_binary_ilp rng =
+  let nvars = 3 + Rng.int rng 5 in
+  let ncons = 1 + Rng.int rng 4 in
+  let cons =
+    List.init ncons (fun _ ->
+        let coefs = List.init nvars (fun v -> (v, float_of_int (Rng.int rng 7 - 3))) in
+        let rhs = float_of_int (Rng.int rng 8 - 2) in
+        let rel = if Rng.int rng 3 = 0 then Model.Ge else Model.Le in
+        (coefs, rel, rhs))
+  in
+  let obj = List.init nvars (fun v -> (v, float_of_int (Rng.int rng 11 - 5))) in
+  let m = Model.create () in
+  let vars = Array.init nvars (fun _ -> Model.add_binary m) in
+  List.iter
+    (fun (coefs, rel, rhs) ->
+      let lhs = Expr.sum (List.map (fun (v, c) -> Expr.var ~coef:c vars.(v)) coefs) in
+      ignore (Model.add_constraint m lhs rel rhs))
+    cons;
+  Model.set_objective m Model.Maximize
+    (Expr.sum (List.map (fun (v, c) -> Expr.var ~coef:c vars.(v)) obj));
+  (m, nvars, cons, obj)
+
 let prop_milp_matches_brute_force =
   QCheck2.Test.make ~name:"branch & bound matches 0/1 enumeration" ~count:150
     QCheck2.Gen.int (fun seed ->
-      let rng = Rng.create seed in
-      let nvars = 3 + Rng.int rng 5 in
-      let ncons = 1 + Rng.int rng 4 in
-      let cons =
-        List.init ncons (fun _ ->
-            let coefs =
-              List.init nvars (fun v -> (v, float_of_int (Rng.int rng 7 - 3)))
-            in
-            let rhs = float_of_int (Rng.int rng 8 - 2) in
-            let rel = if Rng.int rng 3 = 0 then Model.Ge else Model.Le in
-            (coefs, rel, rhs))
-      in
-      let obj = List.init nvars (fun v -> (v, float_of_int (Rng.int rng 11 - 5))) in
-      let m = Model.create () in
-      let vars = Array.init nvars (fun _ -> Model.add_binary m) in
-      List.iter
-        (fun (coefs, rel, rhs) ->
-          let lhs =
-            Expr.sum (List.map (fun (v, c) -> Expr.var ~coef:c vars.(v)) coefs)
-          in
-          ignore (Model.add_constraint m lhs rel rhs))
-        cons;
-      Model.set_objective m Model.Maximize
-        (Expr.sum (List.map (fun (v, c) -> Expr.var ~coef:c vars.(v)) obj));
+      let m, nvars, cons, obj = random_binary_ilp (Rng.create seed) in
       let params = { Milp.default_params with first_solution = false } in
       match (Milp.solve ~params m, brute_force_ilp nvars cons obj) with
       | Milp.Feasible s, Some best -> abs_float (s.objective -. best) < 1e-6
@@ -868,6 +867,20 @@ let prop_milp_matches_brute_force =
       | Milp.Feasible _, None -> false
       | Milp.Infeasible, Some _ -> false
       | Milp.Unknown, _ -> false)
+
+(* The product mode: the search every floorplan solve runs (first
+   feasible point, cuts and heuristics on) finds a feasible, integral
+   point exactly when 0/1 enumeration finds one. *)
+let prop_default_params_feasibility_oracle =
+  QCheck2.Test.make ~name:"product mode matches 0/1 feasibility"
+    ~count:150 QCheck2.Gen.int (fun seed ->
+      let m, nvars, cons, obj = random_binary_ilp (Rng.create seed) in
+      match (Milp.solve ~params:Milp.default_params m, brute_force_ilp nvars cons obj) with
+      | Milp.Feasible s, Some _ ->
+        Model.check_feasible m (fun v -> s.values.(v)) = Ok ()
+        && Array.for_all (fun x -> Float.round x = x) s.values
+      | Milp.Infeasible, None -> true
+      | Milp.Feasible _, None | Milp.Infeasible, Some _ | Milp.Unknown, _ -> false)
 
 let prop_relax_and_fix_feasible =
   QCheck2.Test.make ~name:"relax-and-fix solutions are feasible" ~count:100
@@ -923,8 +936,8 @@ let test_milp_node_limit_incumbent () =
       Milp.default_params with
       first_solution = false;
       presolve = false;
-      cuts = Cuts.off;
-      heuristics = Heuristics.off;
+      cuts = false;
+      heuristics = false;
     }
   in
   (* Full run: how many nodes a complete proof takes, and the optimum. *)
@@ -1455,6 +1468,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_reoptimize_bound_change_matches_cold;
           QCheck_alcotest.to_alcotest prop_reoptimize_rhs_change_matches_cold;
           QCheck_alcotest.to_alcotest prop_milp_matches_brute_force;
+          QCheck_alcotest.to_alcotest prop_default_params_feasibility_oracle;
           QCheck_alcotest.to_alcotest prop_milp_modes_agree;
           QCheck_alcotest.to_alcotest prop_relax_and_fix_feasible;
           QCheck_alcotest.to_alcotest prop_milp_tighter_budget_never_better;

@@ -1,6 +1,7 @@
-(* Tests for the explicit branch & bound tree: traversal strategies,
-   pseudocost vs most-fractional branching, the global dual bound and
-   gap termination, and the node store's deterministic ordering. *)
+(* Tests for the explicit branch & bound tree: the jobs x cuts x
+   heuristics matrix, the global dual bound and honest gaps, cut
+   separation and root heuristics, pseudocost branching, and the node
+   store's deterministic plunge-then-jump order. *)
 
 module Expr = Agingfp_lp.Expr
 module Model = Agingfp_lp.Model
@@ -11,7 +12,6 @@ module Brancher = Agingfp_lp.Brancher
 module Budget = Agingfp_util.Budget
 module Rng = Agingfp_util.Rng
 module Cuts = Agingfp_lp.Cuts
-module Heuristics = Agingfp_lp.Heuristics
 module Certify = Agingfp_lp.Certify
 
 let get_feasible = function
@@ -74,40 +74,9 @@ let structured_model () =
                      x.(op).(pe))))));
   m
 
-(* ---------- traversal / branching equivalence ---------- *)
+(* ---------- search matrix ---------- *)
 
-let prop_traversals_agree =
-  QCheck2.Test.make ~name:"traversal strategies agree at mip_gap = 0" ~count:120
-    QCheck2.Gen.int (fun seed ->
-      let rng = Rng.create seed in
-      let m = random_model rng in
-      let solve traversal =
-        Milp.solve ~params:{ base_params with Milp.traversal } m
-      in
-      match
-        (solve Node_store.Dfs, solve Node_store.Best_first, solve Node_store.Hybrid)
-      with
-      | Milp.Feasible a, Milp.Feasible b, Milp.Feasible c ->
-        abs_float (a.Simplex.objective -. b.Simplex.objective) < 1e-6
-        && abs_float (a.Simplex.objective -. c.Simplex.objective) < 1e-6
-      | Milp.Infeasible, Milp.Infeasible, Milp.Infeasible -> true
-      | _ -> false)
-
-let prop_branching_rules_agree =
-  QCheck2.Test.make ~name:"pseudocost and most-fractional agree" ~count:120
-    QCheck2.Gen.int (fun seed ->
-      let rng = Rng.create seed in
-      let m = random_model rng in
-      let solve branching =
-        Milp.solve ~params:{ base_params with Milp.branching } m
-      in
-      match (solve Brancher.Pseudocost, solve Brancher.Most_fractional) with
-      | Milp.Feasible a, Milp.Feasible b ->
-        abs_float (a.Simplex.objective -. b.Simplex.objective) < 1e-6
-      | Milp.Infeasible, Milp.Infeasible -> true
-      | _ -> false)
-
-(* Every traversal x branching x jobs combination lands on the same
+(* Every jobs x cuts x heuristics combination lands on the same
    optimum of the structured instance. *)
 let test_combination_matrix () =
   let m = structured_model () in
@@ -115,22 +84,16 @@ let test_combination_matrix () =
     (get_feasible (Milp.solve ~params:base_params m)).Simplex.objective
   in
   List.iter
-    (fun traversal ->
+    (fun (cuts, heuristics) ->
       List.iter
-        (fun branching ->
-          List.iter
-            (fun jobs ->
-              let params = { base_params with Milp.traversal; branching; jobs } in
-              let sol = get_feasible (Milp.solve ~params m) in
-              Alcotest.(check (float 1e-6))
-                (Printf.sprintf "%s/%s/jobs=%d"
-                   (Node_store.strategy_to_string traversal)
-                   (Brancher.rule_to_string branching)
-                   jobs)
-                reference sol.Simplex.objective)
-            [ 1; 2 ])
-        [ Brancher.Pseudocost; Brancher.Most_fractional ])
-    [ Node_store.Dfs; Node_store.Best_first; Node_store.Hybrid ]
+        (fun jobs ->
+          let params = { base_params with Milp.cuts; heuristics; jobs } in
+          let sol = get_feasible (Milp.solve ~params m) in
+          Alcotest.(check (float 1e-6))
+            (Printf.sprintf "cuts=%b/heuristics=%b/jobs=%d" cuts heuristics jobs)
+            reference sol.Simplex.objective)
+        [ 1; 2 ])
+    [ (true, true); (true, false); (false, true); (false, false) ]
 
 (* jobs = 1 must be the sequential search itself, bit for bit. *)
 let test_jobs1_identical_to_sequential () =
@@ -158,50 +121,6 @@ let test_proof_closes_gap () =
   | Budget.Optimal -> ()
   | r -> Alcotest.failf "expected optimal stop, got %a" Budget.pp_stop_reason r
 
-(* Gap-tolerance stops are certified: the reported gap respects the
-   tolerance and the incumbent is within gap * scale of the true
-   optimum. *)
-let prop_gap_stop_certified =
-  QCheck2.Test.make ~name:"gap-limit stops are within tolerance" ~count:120
-    QCheck2.Gen.int (fun seed ->
-      let rng = Rng.create seed in
-      let m = random_model rng in
-      let tol = 0.05 in
-      let exact = Milp.solve ~params:base_params m in
-      let gapped, stats =
-        Milp.solve_with_stats ~params:{ base_params with Milp.mip_gap = tol } m
-      in
-      match (exact, gapped) with
-      | Milp.Feasible e, Milp.Feasible g ->
-        let scale =
-          Float.max (Float.max (abs_float e.Simplex.objective) 1e-9)
-            (abs_float stats.Milp.dual_bound)
-        in
-        let within_proof =
-          match stats.Milp.stop with
-          | Budget.Gap_limit -> stats.Milp.gap <= tol +. 1e-9
-          | Budget.Optimal -> stats.Milp.gap <= 1e-9
-          | _ -> false
-        in
-        within_proof
-        && abs_float (g.Simplex.objective -. e.Simplex.objective)
-           <= (tol *. scale) +. 1e-6
-      | Milp.Infeasible, Milp.Infeasible -> true
-      | _ -> false)
-
-(* Reported gaps never tighten as the tolerance loosens, and a looser
-   tolerance never spends more nodes. *)
-let prop_gap_monotone =
-  QCheck2.Test.make ~name:"looser gap never searches more" ~count:80
-    QCheck2.Gen.int (fun seed ->
-      let rng = Rng.create seed in
-      let m = random_model rng in
-      let run tol =
-        snd (Milp.solve_with_stats ~params:{ base_params with Milp.mip_gap = tol } m)
-      in
-      let tight = run 0.01 and loose = run 0.25 in
-      loose.Milp.nodes <= tight.Milp.nodes)
-
 (* An interrupted search must not claim a proof: gap stays honest
    (positive or infinite) when the node budget cut the search and a
    better point was still reachable. *)
@@ -211,7 +130,7 @@ let test_node_limit_gap_honest () =
      the root, where a node limit can never fire. *)
   (* Cuts and root heuristics close almost every random instance at
      the root — the node limit can only fire on a bare tree search. *)
-  let bare = { base_params with Milp.cuts = Cuts.off; heuristics = Heuristics.off } in
+  let bare = { base_params with Milp.cuts = false; heuristics = false } in
   let rec find seed =
     if seed > 500 then Alcotest.fail "no branching instance in 500 seeds"
     else
@@ -237,22 +156,19 @@ let test_node_limit_gap_honest () =
 (* ---------- cuts and heuristics ---------- *)
 
 (* Separation and incumbent seeding are pure accelerations: every leg
-   (off, Gomory only, cover only, both; heuristics off) must agree
-   with the bare tree search on status and objective at mip_gap = 0. *)
+   (both on, heuristics off, cuts off) must agree with the bare tree
+   search on status and objective. *)
 let prop_cuts_agree =
   QCheck2.Test.make ~name:"cuts/heuristics legs agree with bare search" ~count:100
     QCheck2.Gen.int (fun seed ->
       let rng = Rng.create seed in
       let m = random_model rng in
-      let bare =
-        { base_params with Milp.cuts = Cuts.off; heuristics = Heuristics.off }
-      in
+      let bare = { base_params with Milp.cuts = false; heuristics = false } in
       let legs =
         [
           base_params;
-          { base_params with Milp.cuts = { Cuts.default_config with Cuts.cover = false } };
-          { base_params with Milp.cuts = { Cuts.default_config with Cuts.gomory = false } };
-          { base_params with Milp.heuristics = Heuristics.off };
+          { base_params with Milp.heuristics = false };
+          { base_params with Milp.cuts = false };
         ]
       in
       let reference = Milp.solve ~params:bare m in
@@ -274,8 +190,7 @@ let prop_heuristic_incumbents_feasible =
     QCheck2.Gen.int (fun seed ->
       let rng = Rng.create seed in
       let m = random_model rng in
-      let params = { Milp.default_params with Milp.first_solution = true } in
-      match Milp.solve ~params m with
+      match Milp.solve ~params:Milp.default_params m with
       | Milp.Feasible sol ->
         Model.check_feasible m (fun v -> sol.Simplex.values.(v)) = Ok ()
         && List.for_all
@@ -297,8 +212,7 @@ let prop_root_gap_closed_bounded =
       Float.is_nan g || (g >= 0.0 && g <= 1.0))
 
 let test_cut_pool_aging () =
-  let cfg = { Cuts.default_config with Cuts.age_limit = 1; max_cuts = 4 } in
-  let pool = Cuts.create_pool cfg in
+  let pool = Cuts.create_pool () in
   let id =
     match
       Cuts.admit pool ~provenance:(Cuts.Gomory { basic_var = 0 }) ~terms:[ (0, 1.0) ]
@@ -312,7 +226,10 @@ let test_cut_pool_aging () =
     = None);
   Alcotest.(check bool) "fresh cut active" true (Cuts.is_active pool id);
   (* Slack observations age the cut past the limit and deactivate it. *)
-  Cuts.observe pool (fun _ -> -1.0);
+  for _ = 1 to Cuts.age_limit do
+    Cuts.observe pool (fun _ -> -1.0)
+  done;
+  Alcotest.(check bool) "still active at the limit" true (Cuts.is_active pool id);
   Cuts.observe pool (fun _ -> -1.0);
   Alcotest.(check bool) "aged out" false (Cuts.is_active pool id);
   Alcotest.(check int) "aged-out counted" 1 (Cuts.pool_stats pool).Cuts.aged_out;
@@ -322,7 +239,7 @@ let test_cut_pool_aging () =
   Alcotest.(check int) "reactivation counted" 1 (Cuts.pool_stats pool).Cuts.reactivated
 
 let test_certify_cuts_verdicts () =
-  let pool = Cuts.create_pool Cuts.default_config in
+  let pool = Cuts.create_pool () in
   ignore
     (Cuts.admit pool ~provenance:(Cuts.Cover { row = 3 })
        ~terms:[ (0, 1.0); (1, 1.0) ]
@@ -383,9 +300,7 @@ let test_add_row_warm_matches_cold () =
    must cost no more tree nodes than the bare search, at the same
    optimum, and its gap-closed statistic must stay in range. *)
 let test_cuts_reduce_work () =
-  let bare =
-    { base_params with Milp.cuts = Cuts.off; heuristics = Heuristics.off }
-  in
+  let bare = { base_params with Milp.cuts = false; heuristics = false } in
   let r0, s0 = Milp.solve_with_stats ~params:bare (structured_model ()) in
   let r1, s1 = Milp.solve_with_stats ~params:base_params (structured_model ()) in
   match (r0, r1) with
@@ -402,38 +317,42 @@ let test_cuts_reduce_work () =
 
 (* ---------- node store determinism ---------- *)
 
+(* The store plunges into the children of the node expanded last and,
+   once that dive dies, jumps to the best open bound rather than to the
+   newest node. *)
 let test_node_store_order () =
-  let mk () =
-    let t = Node_store.create ~workers:1 in
-    ignore
-      (Node_store.add t ~parent:(-1) ~depth:0 ~bound:neg_infinity ~fixes:[] ~branch:None);
-    List.iter
-      (fun bound ->
-        ignore (Node_store.add t ~parent:0 ~depth:1 ~bound ~fixes:[] ~branch:None))
-      [ 3.0; 1.0; 2.0 ];
-    t
+  let t = Node_store.create ~workers:1 in
+  let add ~parent bound =
+    ignore (Node_store.add t ~parent ~depth:0 ~bound ~fixes:[] ~branch:None)
   in
-  let drain strategy =
-    let t = mk () in
-    let rec go acc =
-      match Node_store.take t ~wid:0 strategy with
-      | None -> List.rev acc
-      | Some n ->
+  let take () =
+    match Node_store.take t ~wid:0 with
+    | Some n -> n.Node_store.id
+    | None -> Alcotest.fail "empty store"
+  in
+  add ~parent:(-1) neg_infinity;
+  let root = take () in
+  List.iter (add ~parent:root) [ 1.0; 2.0; 3.0 ];
+  Node_store.finish t ~wid:0;
+  let dive = take () in
+  add ~parent:dive 5.0;
+  Node_store.finish t ~wid:0;
+  let rest =
+    List.init 3 (fun _ ->
+        let id = take () in
         Node_store.finish t ~wid:0;
-        go (n.Node_store.id :: acc)
-    in
-    go []
+        id)
   in
-  Alcotest.(check (list int)) "dfs is LIFO" [ 3; 2; 1; 0 ] (drain Node_store.Dfs);
-  Alcotest.(check (list int))
-    "best-first by (bound, id)" [ 0; 2; 3; 1 ] (drain Node_store.Best_first)
+  Alcotest.(check (list int)) "plunge, then best bound" [ 0; 3; 4; 1; 2 ]
+    (root :: dive :: rest);
+  Alcotest.(check bool) "drained" true (Node_store.take t ~wid:0 = None)
 
 let test_node_store_dual_bound () =
   let t = Node_store.create ~workers:1 in
   ignore
     (Node_store.add t ~parent:(-1) ~depth:0 ~bound:neg_infinity ~fixes:[] ~branch:None);
   Alcotest.(check (float 0.0)) "root bound" neg_infinity (Node_store.dual_bound t);
-  (match Node_store.take t ~wid:0 Node_store.Best_first with
+  (match Node_store.take t ~wid:0 with
   | Some n -> Alcotest.(check int) "root popped" 0 n.Node_store.id
   | None -> Alcotest.fail "empty store");
   (* In flight: the root's bound still anchors the dual bound. *)
@@ -442,11 +361,13 @@ let test_node_store_dual_bound () =
   ignore (Node_store.add t ~parent:0 ~depth:1 ~bound:7.0 ~fixes:[] ~branch:None);
   Node_store.finish t ~wid:0;
   Alcotest.(check (float 0.0)) "frontier min" 5.0 (Node_store.dual_bound t);
-  (match Node_store.take t ~wid:0 Node_store.Best_first with
-  | Some n -> Alcotest.(check (float 0.0)) "best child" 5.0 n.Node_store.bound
+  (* The dive takes the newest child; the open one still bounds. *)
+  (match Node_store.take t ~wid:0 with
+  | Some n -> Alcotest.(check (float 0.0)) "newest child" 7.0 n.Node_store.bound
   | None -> Alcotest.fail "empty store");
+  Alcotest.(check (float 0.0)) "open min" 5.0 (Node_store.dual_bound t);
   Node_store.finish t ~wid:0;
-  (match Node_store.take t ~wid:0 Node_store.Best_first with
+  (match Node_store.take t ~wid:0 with
   | Some _ -> Node_store.finish t ~wid:0
   | None -> Alcotest.fail "empty store");
   Alcotest.(check (float 0.0)) "drained" infinity (Node_store.dual_bound t)
@@ -454,7 +375,7 @@ let test_node_store_dual_bound () =
 (* ---------- brancher ---------- *)
 
 let test_brancher_pseudocost_prefers_observed () =
-  let b = Brancher.create Brancher.Pseudocost ~nvars:3 in
+  let b = Brancher.create ~nvars:3 in
   (* Variable 1 has hurt both children before; variable 0 never
      observed. At equal fractions the observed degrader must win. *)
   Brancher.observe b ~var:1 ~dir:Node_store.Down ~frac:0.5 ~delta:10.0;
@@ -465,13 +386,6 @@ let test_brancher_pseudocost_prefers_observed () =
   | None -> Alcotest.fail "no selection");
   Alcotest.(check bool) "var 0 unreliable" true (Brancher.unreliable b ~var:0);
   Alcotest.(check bool) "var 1 reliable" false (Brancher.unreliable b ~var:1)
-
-let test_brancher_most_fractional_order () =
-  let b = Brancher.create Brancher.Most_fractional ~nvars:4 in
-  (match Brancher.select b [ (0, 0.9); (1, 0.5); (2, 0.5) ] with
-  | Some 1 -> ()
-  | Some v -> Alcotest.failf "expected var 1 (first maximum), got %d" v
-  | None -> Alcotest.fail "no selection")
 
 let () =
   Alcotest.run "milp-tree"
@@ -493,8 +407,6 @@ let () =
         [
           Alcotest.test_case "pseudocost prefers observed" `Quick
             test_brancher_pseudocost_prefers_observed;
-          Alcotest.test_case "most-fractional order" `Quick
-            test_brancher_most_fractional_order;
         ] );
       ( "cuts",
         [
@@ -506,10 +418,6 @@ let () =
         ] );
       ( "properties",
         [
-          QCheck_alcotest.to_alcotest prop_traversals_agree;
-          QCheck_alcotest.to_alcotest prop_branching_rules_agree;
-          QCheck_alcotest.to_alcotest prop_gap_stop_certified;
-          QCheck_alcotest.to_alcotest prop_gap_monotone;
           QCheck_alcotest.to_alcotest prop_cuts_agree;
           QCheck_alcotest.to_alcotest prop_heuristic_incumbents_feasible;
           QCheck_alcotest.to_alcotest prop_root_gap_closed_bounded;

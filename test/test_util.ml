@@ -6,7 +6,6 @@ module Coord = Agingfp_util.Coord
 module Stats = Agingfp_util.Stats
 module Ascii_table = Agingfp_util.Ascii_table
 module Heap = Agingfp_util.Heap
-module Bipartite = Agingfp_util.Bipartite
 module Rat = Agingfp_util.Rat
 module Invariant = Agingfp_util.Invariant
 
@@ -223,88 +222,6 @@ let prop_heap_interleaved =
             true
           end)
         ops)
-
-(* ---------- Bipartite matching ---------- *)
-
-let test_matching_perfect () =
-  let g = Bipartite.create ~n_left:3 ~n_right:3 in
-  (* 0-{0,1}, 1-{0}, 2-{2}: perfect matching exists (0->1, 1->0, 2->2). *)
-  Bipartite.add_edge g 0 0;
-  Bipartite.add_edge g 0 1;
-  Bipartite.add_edge g 1 0;
-  Bipartite.add_edge g 2 2;
-  let m = Bipartite.solve g in
-  Alcotest.(check int) "perfect" 3 (Bipartite.matching_size m);
-  Alcotest.(check int) "1 forced to 0" 0 m.(1)
-
-let test_matching_deficient () =
-  (* Two lefts both only reach right 0: max matching 1 (Hall violation). *)
-  let g = Bipartite.create ~n_left:2 ~n_right:2 in
-  Bipartite.add_edge g 0 0;
-  Bipartite.add_edge g 1 0;
-  let m = Bipartite.solve g in
-  Alcotest.(check int) "deficient" 1 (Bipartite.matching_size m)
-
-let test_matching_empty () =
-  let g = Bipartite.create ~n_left:0 ~n_right:5 in
-  Alcotest.(check int) "empty" 0 (Bipartite.matching_size (Bipartite.solve g))
-
-let test_matching_validity () =
-  let g = Bipartite.create ~n_left:4 ~n_right:4 in
-  for l = 0 to 3 do
-    for r = 0 to 3 do
-      if (l + r) mod 2 = 0 then Bipartite.add_edge g l r
-    done
-  done;
-  let m = Bipartite.solve g in
-  (* Matched rights must be distinct and edges must exist. *)
-  let seen = Hashtbl.create 4 in
-  Array.iteri
-    (fun l r ->
-      if r >= 0 then begin
-        Alcotest.(check bool) "edge exists" true ((l + r) mod 2 = 0);
-        Alcotest.(check bool) "right distinct" false (Hashtbl.mem seen r);
-        Hashtbl.add seen r ()
-      end)
-    m
-
-(* Brute-force max matching by trying all assignments (small). *)
-let brute_matching n_left n_right edges =
-  let best = ref 0 in
-  let used = Array.make n_right false in
-  let rec go l count =
-    if l = n_left then best := max !best count
-    else begin
-      go (l + 1) count;
-      List.iter
-        (fun (a, r) ->
-          if a = l && not used.(r) then begin
-            used.(r) <- true;
-            go (l + 1) (count + 1);
-            used.(r) <- false
-          end)
-        edges
-    end
-  in
-  go 0 0;
-  !best
-
-let prop_matching_matches_brute_force =
-  QCheck2.Test.make ~name:"Hopcroft-Karp matches brute force on random graphs"
-    ~count:150 QCheck2.Gen.int
-    (fun seed ->
-      let rng = Rng.create seed in
-      let n_left = 1 + Rng.int rng 6 and n_right = 1 + Rng.int rng 6 in
-      let edges = ref [] in
-      for l = 0 to n_left - 1 do
-        for r = 0 to n_right - 1 do
-          if Rng.int rng 3 = 0 then edges := (l, r) :: !edges
-        done
-      done;
-      let g = Bipartite.create ~n_left ~n_right in
-      List.iter (fun (l, r) -> Bipartite.add_edge g l r) !edges;
-      Bipartite.matching_size (Bipartite.solve g)
-      = brute_matching n_left n_right !edges)
 
 (* ---------- Rat ---------- *)
 
@@ -630,13 +547,6 @@ let () =
           Alcotest.test_case "basic" `Quick test_heap_basic;
           Alcotest.test_case "max mode" `Quick test_heap_max_mode;
         ] );
-      ( "bipartite",
-        [
-          Alcotest.test_case "perfect" `Quick test_matching_perfect;
-          Alcotest.test_case "deficient" `Quick test_matching_deficient;
-          Alcotest.test_case "empty" `Quick test_matching_empty;
-          Alcotest.test_case "validity" `Quick test_matching_validity;
-        ] );
       ( "rat",
         [
           Alcotest.test_case "of_float exact" `Quick test_rat_of_float_exact;
@@ -673,7 +583,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_rat_add_sub_cancel;
           QCheck_alcotest.to_alcotest prop_rat_mul_distributes;
           QCheck_alcotest.to_alcotest prop_rat_compare_matches_float;
-          QCheck_alcotest.to_alcotest prop_matching_matches_brute_force;
           QCheck_alcotest.to_alcotest prop_heap_sorts;
           QCheck_alcotest.to_alcotest prop_heap_interleaved;
           QCheck_alcotest.to_alcotest prop_manhattan_triangle;
