@@ -116,13 +116,16 @@ let factorize t ~col =
   t.neta <- 0;
   t.eta_nnz <- 0;
   let ws = t.ws in
+  let wx = ws.Sparse.x and stamp = ws.Sparse.stamp and touched = ws.Sparse.touched in
   for step = 0 to n - 1 do
     let j = order.(step) in
     t.q.(step) <- j;
     Sparse.reset ws;
     let rows = crows.(j) and coefs = ccoefs.(j) in
     for k = 0 to Array.length rows - 1 do
-      Sparse.add ws rows.(k) coefs.(k)
+      let i = rows.(k) in
+      Sparse.touch ws i;
+      wx.(i) <- wx.(i) +. coefs.(k)
     done;
     let uc = t.ucols.(step) in
     Sparse.clear uc;
@@ -131,46 +134,70 @@ let factorize t ~col =
        order sees every live pivot-row entry exactly once. *)
     for k = 0 to step - 1 do
       let pk = t.p.(k) in
-      if Sparse.is_live ws pk then begin
-        let v = Sparse.get ws pk in
+      if stamp.(pk) = ws.Sparse.gen then begin
+        let v = wx.(pk) in
         if not (Float.equal v 0.0) then begin
-          Sparse.push uc k v;
-          Sparse.iter (fun i lv -> Sparse.add ws i (-.(v *. lv))) t.lcols.(k)
+          Sparse.ensure uc 1;
+          uc.idx.(uc.nnz) <- k;
+          uc.vals.(uc.nnz) <- v;
+          uc.nnz <- uc.nnz + 1;
+          let { Sparse.nnz; idx; vals } = t.lcols.(k) in
+          for e = 0 to nnz - 1 do
+            let i = idx.(e) in
+            Sparse.touch ws i;
+            wx.(i) <- wx.(i) +. (-.(v *. vals.(e)))
+          done
         end
       end
     done;
     (* Threshold Markowitz pivot among the unpivoted rows. *)
     let vmax = ref 0.0 in
-    Sparse.iter_live ws (fun i x ->
-        if t.pinv.(i) < 0 then begin
-          let a = abs_float x in
-          if a > !vmax then vmax := a
-        end);
+    for e = 0 to ws.Sparse.ntouched - 1 do
+      let i = touched.(e) in
+      if t.pinv.(i) < 0 then begin
+        let a = abs_float wx.(i) in
+        if a > !vmax then vmax := a
+      end
+    done;
     if !vmax < pivot_tol then raise Singular;
     let cutoff = row_threshold *. !vmax in
     let best = ref (-1) and best_count = ref max_int and best_mag = ref 0.0 in
-    Sparse.iter_live ws (fun i x ->
-        if t.pinv.(i) < 0 then begin
-          let a = abs_float x in
-          if
-            a >= cutoff
-            && (rcount.(i) < !best_count
-               || (rcount.(i) = !best_count && a > !best_mag))
-          then begin
-            best := i;
-            best_count := rcount.(i);
-            best_mag := a
-          end
-        end);
+    for e = 0 to ws.Sparse.ntouched - 1 do
+      let i = touched.(e) in
+      if t.pinv.(i) < 0 then begin
+        let a = abs_float wx.(i) in
+        if
+          a >= cutoff
+          && (rcount.(i) < !best_count
+             || (rcount.(i) = !best_count && a > !best_mag))
+        then begin
+          best := i;
+          best_count := rcount.(i);
+          best_mag := a
+        end
+      end
+    done;
     let r = !best in
     t.p.(step) <- r;
     t.pinv.(r) <- step;
-    let d = Sparse.get ws r in
+    let d = wx.(r) in
     t.udiag.(step) <- d;
     let lc = t.lcols.(step) in
     Sparse.clear lc;
-    Sparse.iter_live ws (fun i x ->
-        if i <> r && t.pinv.(i) < 0 && not (Float.equal x 0.0) then Sparse.push lc i (x /. d))
+    let below i = i <> r && t.pinv.(i) < 0 && not (Float.equal wx.(i) 0.0) in
+    let count = ref 0 in
+    for e = 0 to ws.Sparse.ntouched - 1 do
+      if below touched.(e) then incr count
+    done;
+    Sparse.ensure lc !count;
+    for e = 0 to ws.Sparse.ntouched - 1 do
+      let i = touched.(e) in
+      if below i then begin
+        lc.idx.(lc.nnz) <- i;
+        lc.vals.(lc.nnz) <- wx.(i) /. d;
+        lc.nnz <- lc.nnz + 1
+      end
+    done
   done;
   t.factored <- true;
   t.nfactor <- t.nfactor + 1
@@ -179,6 +206,12 @@ let check_ready t name v =
   if not t.factored then Invariant.invalid ~where:name "not factorized";
   if Array.length v < t.n then Invariant.invalid ~where:name "vector too short"
 
+(* The solves and [update] run once or twice per simplex pivot. Their
+   inner loops read the factor and eta arrays directly and keep their
+   accumulators in local refs, so they allocate nothing; the
+   floating-point operations and their order are those of the textbook
+   column- and row-oriented triangular solves. *)
+
 (* Solve A x = b in place: [b] enters in row space, leaves in column
    (position) space. *)
 let ftran t b =
@@ -186,15 +219,25 @@ let ftran t b =
   let n = t.n in
   for k = 0 to n - 1 do
     let v = b.(t.p.(k)) in
-    if not (Float.equal v 0.0) then
-      Sparse.iter (fun i lv -> b.(i) <- b.(i) -. (v *. lv)) t.lcols.(k)
+    if not (Float.equal v 0.0) then begin
+      let { Sparse.nnz; idx; vals } = t.lcols.(k) in
+      for e = 0 to nnz - 1 do
+        let i = idx.(e) in
+        b.(i) <- b.(i) -. (v *. vals.(e))
+      done
+    end
   done;
   let z = t.sol in
   for j = n - 1 downto 0 do
     let zj = b.(t.p.(j)) /. t.udiag.(j) in
     z.(j) <- zj;
-    if not (Float.equal zj 0.0) then
-      Sparse.iter (fun k uv -> b.(t.p.(k)) <- b.(t.p.(k)) -. (uv *. zj)) t.ucols.(j)
+    if not (Float.equal zj 0.0) then begin
+      let { Sparse.nnz; idx; vals } = t.ucols.(j) in
+      for e = 0 to nnz - 1 do
+        let pk = t.p.(idx.(e)) in
+        b.(pk) <- b.(pk) -. (vals.(e) *. zj)
+      done
+    end
   done;
   for j = 0 to n - 1 do
     b.(t.q.(j)) <- z.(j)
@@ -203,8 +246,13 @@ let ftran t b =
     let eta = t.etas.(e) in
     let tv = b.(eta.e_pos) /. eta.e_piv in
     b.(eta.e_pos) <- tv;
-    if not (Float.equal tv 0.0) then
-      Sparse.iter (fun i wv -> b.(i) <- b.(i) -. (wv *. tv)) eta.e_spike
+    if not (Float.equal tv 0.0) then begin
+      let { Sparse.nnz; idx; vals } = eta.e_spike in
+      for k = 0 to nnz - 1 do
+        let i = idx.(k) in
+        b.(i) <- b.(i) -. (vals.(k) *. tv)
+      done
+    end
   done
 
 (* Solve A^T y = c in place: [c] enters in column (position) space,
@@ -214,19 +262,28 @@ let btran t c =
   let n = t.n in
   for e = t.neta - 1 downto 0 do
     let eta = t.etas.(e) in
+    let { Sparse.nnz; idx; vals } = eta.e_spike in
     let s = ref 0.0 in
-    Sparse.iter (fun i wv -> s := !s +. (wv *. c.(i))) eta.e_spike;
+    for k = 0 to nnz - 1 do
+      s := !s +. (vals.(k) *. c.(idx.(k)))
+    done;
     c.(eta.e_pos) <- (c.(eta.e_pos) -. !s) /. eta.e_piv
   done;
   let z = t.sol in
   for j = 0 to n - 1 do
+    let { Sparse.nnz; idx; vals } = t.ucols.(j) in
     let s = ref c.(t.q.(j)) in
-    Sparse.iter (fun k uv -> s := !s -. (uv *. z.(k))) t.ucols.(j);
+    for e = 0 to nnz - 1 do
+      s := !s -. (vals.(e) *. z.(idx.(e)))
+    done;
     z.(j) <- !s /. t.udiag.(j)
   done;
   for k = n - 1 downto 0 do
+    let { Sparse.nnz; idx; vals } = t.lcols.(k) in
     let s = ref z.(k) in
-    Sparse.iter (fun i lv -> s := !s -. (lv *. z.(t.pinv.(i)))) t.lcols.(k);
+    for e = 0 to nnz - 1 do
+      s := !s -. (vals.(e) *. z.(t.pinv.(idx.(e))))
+    done;
     z.(k) <- !s
   done;
   for k = 0 to n - 1 do
@@ -244,17 +301,27 @@ let push_eta t eta =
   t.neta <- t.neta + 1
 
 (* Record the replacement of column [r] by a column whose ftran image
-   is [w] (position space, dense). *)
+   is [w] (position space, dense). The spike is sized exactly: one
+   counting pass, then one filling pass in ascending index order. *)
 let update t ~r ~w =
   check_ready t "Lu.update" w;
   let piv = w.(r) in
   if abs_float piv < pivot_tol then raise Singular;
-  let spike = Sparse.create () in
+  let live i = i <> r && not (Float.equal w.(i) 0.0) in
+  let count = ref 0 in
   for i = 0 to t.n - 1 do
-    if i <> r && not (Float.equal w.(i) 0.0) then Sparse.push spike i w.(i)
+    if live i then incr count
+  done;
+  let spike = Sparse.create ~cap:!count () in
+  for i = 0 to t.n - 1 do
+    if live i then begin
+      spike.idx.(spike.nnz) <- i;
+      spike.vals.(spike.nnz) <- w.(i);
+      spike.nnz <- spike.nnz + 1
+    end
   done;
   push_eta t { e_pos = r; e_piv = piv; e_spike = spike };
-  t.eta_nnz <- t.eta_nnz + 1 + Sparse.length spike;
+  t.eta_nnz <- t.eta_nnz + 1 + spike.nnz;
   t.total_etas <- t.total_etas + 1
 
 (* ---------- dense-matrix convenience (thermal / Solve) ---------- *)

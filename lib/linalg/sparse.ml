@@ -1,12 +1,16 @@
-(* Compressed sparse vectors and a stamped scatter–gather workspace.
+(* Compressed sparse vectors and a stamped elimination workspace.
 
-   The LU kernel and the simplex basis wrapper move data between two
-   representations: compressed (index/value pairs, the storage form of
-   factor columns and eta vectors) and dense-with-occupancy (a float
-   array plus a touched list, the working form during elimination and
-   triangular solves). The workspace uses generation stamps instead of
-   a cleared boolean mask so that clearing costs O(nnz touched), not
-   O(n). *)
+   Compressed vectors (index/value pairs) are the storage form of LU
+   factor columns and eta spikes. The workspace is the dense working
+   form of one column during elimination: a float array plus a list of
+   the slots touched, made live by generation stamps instead of a
+   cleared boolean mask so that clearing costs O(nnz touched), not
+   O(n).
+
+   Consumers loop over [idx]/[vals] and the workspace arrays directly:
+   a per-entry closure or a float passed across the module boundary
+   boxes one float per entry in a build without cross-module inlining,
+   which is the whole cost of a triangular solve. *)
 
 type vec = {
   mutable nnz : int;
@@ -32,33 +36,12 @@ let ensure v extra =
     v.vals <- vals
   end
 
-let push v i x =
-  ensure v 1;
-  v.idx.(v.nnz) <- i;
-  v.vals.(v.nnz) <- x;
-  v.nnz <- v.nnz + 1
-
-let iter f v =
-  for k = 0 to v.nnz - 1 do
-    f v.idx.(k) v.vals.(k)
-  done
-
-let of_dense ?(tol = 0.0) a =
-  let v = create () in
-  Array.iteri (fun i x -> if abs_float x > tol then push v i x) a;
-  v
-
-let to_dense v n =
-  let a = Array.make n 0.0 in
-  iter (fun i x -> a.(i) <- x) v;
-  a
-
-(* ---------- scatter–gather workspace ---------- *)
+(* ---------- elimination workspace ---------- *)
 
 type workspace = {
-  x : float array;          (* dense values; only valid where stamped *)
-  stamp : int array;        (* stamp.(i) = gen  <=>  slot i is live *)
-  touched : int array;      (* live indices, in touch order *)
+  x : float array;
+  stamp : int array;
+  touched : int array;
   mutable ntouched : int;
   mutable gen : int;
 }
@@ -83,32 +66,3 @@ let touch ws i =
     ws.touched.(ws.ntouched) <- i;
     ws.ntouched <- ws.ntouched + 1
   end
-
-let set ws i v =
-  touch ws i;
-  ws.x.(i) <- v
-
-let add ws i v =
-  touch ws i;
-  ws.x.(i) <- ws.x.(i) +. v
-
-let get ws i = if ws.stamp.(i) = ws.gen then ws.x.(i) else 0.0
-let is_live ws i = ws.stamp.(i) = ws.gen
-
-let iter_live ws f =
-  for k = 0 to ws.ntouched - 1 do
-    let i = ws.touched.(k) in
-    f i ws.x.(i)
-  done
-
-let scatter ws v =
-  reset ws;
-  iter (fun i x -> set ws i x) v
-
-let gather ?(tol = 0.0) ws v =
-  clear v;
-  for k = 0 to ws.ntouched - 1 do
-    let i = ws.touched.(k) in
-    let x = ws.x.(i) in
-    if abs_float x > tol then push v i x
-  done

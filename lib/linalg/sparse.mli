@@ -1,9 +1,12 @@
-(** Compressed sparse vectors and a stamped scatter–gather workspace.
+(** Compressed sparse vectors and a stamped elimination workspace.
 
-    Storage form for LU factor columns and simplex eta vectors, plus
-    the dense-with-occupancy working form used during elimination and
-    triangular solves. The workspace clears in O(touched) via
-    generation stamps, not O(n). *)
+    Storage form for LU factor columns and simplex eta spikes, plus
+    the dense-with-occupancy working form of one column during
+    elimination. The workspace clears in O(touched) via generation
+    stamps, not O(n).
+
+    There are no per-entry iterators: consumers loop over the exposed
+    arrays, so no solve pays a closure or a boxed float per entry. *)
 
 type vec = {
   mutable nnz : int;
@@ -19,19 +22,19 @@ val clear : vec -> unit
 val length : vec -> int
 (** Number of stored entries. *)
 
-val push : vec -> int -> float -> unit
-(** Append one entry, growing the backing arrays as needed. *)
+val ensure : vec -> int -> unit
+(** [ensure v extra] grows the backing arrays so that [extra] more
+    entries fit without reallocation. *)
 
-val iter : (int -> float -> unit) -> vec -> unit
+(** {1 Elimination workspace} *)
 
-val of_dense : ?tol:float -> float array -> vec
-(** Entries with [|x| > tol] (default [0.0]). *)
-
-val to_dense : vec -> int -> float array
-
-(** {1 Scatter–gather workspace} *)
-
-type workspace
+type workspace = {
+  x : float array;       (** dense values; only valid where stamped *)
+  stamp : int array;     (** [stamp.(i) = gen] iff slot [i] is live *)
+  touched : int array;   (** live indices [0 .. ntouched-1], in touch order *)
+  mutable ntouched : int;
+  mutable gen : int;
+}
 
 val workspace : int -> workspace
 (** Workspace over index domain [0 .. n-1]. *)
@@ -41,20 +44,3 @@ val reset : workspace -> unit
 
 val touch : workspace -> int -> unit
 (** Make slot [i] live with value [0.0] if it is not live already. *)
-
-val set : workspace -> int -> float -> unit
-val add : workspace -> int -> float -> unit
-
-val get : workspace -> int -> float
-(** [0.0] for non-live slots. *)
-
-val is_live : workspace -> int -> bool
-
-val iter_live : workspace -> (int -> float -> unit) -> unit
-(** Iterate the live entries in touch order (duplicates impossible). *)
-
-val scatter : workspace -> vec -> unit
-(** [reset] then copy the vector's entries in. *)
-
-val gather : ?tol:float -> workspace -> vec -> unit
-(** Overwrite [vec] with the live entries whose [|x| > tol]. *)

@@ -58,7 +58,14 @@ let pp_status ppf = function
    The state outlives a single solve: [solve_state] optimizes cold
    (fresh slack/artificial basis), while [reoptimize] re-optimizes
    after bound or RHS changes from the current basis — the branch &
-   bound hot path of the Eq. (3) MILPs. *)
+   bound hot path of the Eq. (3) MILPs.
+
+   The structural entries are stored twice: column-major
+   ([col_rows]/[col_coefs], each column sorted by row) for ftran and
+   the basis factors, and as a row-major mirror ([row_start],
+   [row_cols], [row_vals]) for the pricing products y·A, which then
+   touch only the rows where y is nonzero. The per-iteration vectors
+   live in the state, so an iteration allocates nothing of size m. *)
 type state = {
   n : int;                   (* structural variable count *)
   mutable m : int;           (* live rows: model rows + appended cut rows *)
@@ -67,6 +74,9 @@ type state = {
   mutable ncols : int;       (* n + m_max + nart *)
   col_rows : int array array;
   col_coefs : float array array;
+  row_start : int array;     (* m_max + 1: row i is [row_start.(i), row_start.(i + 1)) *)
+  mutable row_cols : int array;  (* structural column of each mirrored entry *)
+  mutable row_vals : float array;
   lb : float array;
   ub : float array;
   b : float array;
@@ -76,6 +86,10 @@ type state = {
   x_b : float array;
   vals : float array;        (* value of each nonbasic column *)
   rhs_scratch : float array; (* m_max-sized: recompute_basics / drift checks *)
+  w : float array;           (* m_max-sized: ftran image of the entering column *)
+  y : float array;           (* m_max-sized: dual vector *)
+  rho : float array;         (* m_max-sized: pivot row of B^-1 *)
+  row_prod : float array;    (* n-sized: y·A or rho·A over the structurals *)
   nat_slb : float array;     (* natural slack bounds per row, for re-enforcement *)
   nat_sub : float array;
   n_artificial_base : int;   (* first artificial column index *)
@@ -119,6 +133,29 @@ let col_dot st y j =
     acc := !acc +. (y.(rows.(k)) *. coefs.(k))
   done;
   !acc
+
+(* out.(j) := v·A_j for every structural column j, accumulated through
+   the row-major mirror in ascending row order over the rows where v
+   is nonzero. Each column is sorted by row, so out.(j) receives the
+   same products in the same order as [col_dot st v j]; the skipped
+   terms are ±0 products, which leave unchanged a sum that starts at
+   +0 and so can never be -0. The two agree bit for bit, which keeps
+   every pricing decision, and so every pivot, identical. *)
+let row_product st v out =
+  Array.fill out 0 st.n 0.0;
+  let cols = st.row_cols and coefs = st.row_vals in
+  for i = 0 to st.m - 1 do
+    let vi = v.(i) in
+    if not (Float.equal vi 0.0) then
+      for k = st.row_start.(i) to st.row_start.(i + 1) - 1 do
+        let j = cols.(k) in
+        out.(j) <- out.(j) +. (vi *. coefs.(k))
+      done
+  done
+
+(* v·A_j for any column, given [row_product st v prod]: slack and
+   artificial columns hold a single entry and are not mirrored. *)
+let[@inline] priced st prod v j = if j < st.n then prod.(j) else col_dot st v j
 
 (* w = B^-1 * A_e: scatter the sparse column, solve through the
    kernel. *)
@@ -247,8 +284,7 @@ type phase_result =
 (* Optimize the given cost vector from the current basis. *)
 let optimize st cost max_iter =
   let m = st.m in
-  let w = Array.make m 0.0 in
-  let y = Array.make m 0.0 in
+  let w = st.w and y = st.y and ya = st.row_prod in
   let opt_tol = st.params.optimality_tol in
   let piv_tol = 1e-9 in
   let degen = ref 0 in
@@ -264,6 +300,7 @@ let optimize st cost max_iter =
     else begin
       maybe_refactorize st iter;
       dual_vector st cost y;
+      row_product st y ya;
       (* Pricing: find entering column and its movement direction. *)
       let best = ref (-1) in
       let best_dir = ref 1.0 in
@@ -271,7 +308,7 @@ let optimize st cost max_iter =
       (try
          for j = 0 to st.ncols - 1 do
            if st.pos_in_basis.(j) < 0 && st.lb.(j) < st.ub.(j) then begin
-             let d = cost.(j) -. col_dot st y j in
+             let d = cost.(j) -. priced st ya y j in
              let v = st.vals.(j) in
              let at_lb = st.lb.(j) > neg_infinity && v <= st.lb.(j) +. 1e-12 in
              let at_ub = st.ub.(j) < infinity && v >= st.ub.(j) -. 1e-12 in
@@ -423,6 +460,29 @@ let assemble ?(params = default_params) ?(extra_rows = 0) model =
     col_rows.(n + i) <- [| i |];
     col_coefs.(n + i) <- [| 1.0 |]
   done;
+  (* Row-major mirror of the structural entries: a counting-sort
+     transpose of the column store, so each row lists its columns in
+     ascending order. Rows beyond the live ones start empty at the end
+     of the entry arrays, where [add_row] appends. *)
+  let row_start = Array.make (m_max + 1) 0 in
+  for v = 0 to n - 1 do
+    Array.iter (fun i -> row_start.(i + 1) <- row_start.(i + 1) + 1) col_rows.(v)
+  done;
+  for i = 1 to m_max do
+    row_start.(i) <- row_start.(i) + row_start.(i - 1)
+  done;
+  let nnz = row_start.(m_max) in
+  let row_cols = Array.make (max nnz 1) 0 and row_vals = Array.make (max nnz 1) 0.0 in
+  let next = Array.sub row_start 0 (max m_max 1) in
+  for v = 0 to n - 1 do
+    let rows = col_rows.(v) and coefs = col_coefs.(v) in
+    for k = 0 to Array.length rows - 1 do
+      let i = rows.(k) in
+      row_cols.(next.(i)) <- v;
+      row_vals.(next.(i)) <- coefs.(k);
+      next.(i) <- next.(i) + 1
+    done
+  done;
   let cost2 = Array.make (max max_cols 1) 0.0 in
   for v = 0 to n - 1 do
     cost2.(v) <- sign *. Expr.coef obj v
@@ -439,6 +499,9 @@ let assemble ?(params = default_params) ?(extra_rows = 0) model =
     ncols = n + m_max;
     col_rows;
     col_coefs;
+    row_start;
+    row_cols;
+    row_vals;
     lb;
     ub;
     b;
@@ -448,6 +511,10 @@ let assemble ?(params = default_params) ?(extra_rows = 0) model =
     x_b = Array.make (max m_max 1) 0.0;
     vals = Array.make (max max_cols 1) 0.0;
     rhs_scratch = Array.make (max m_max 1) 0.0;
+    w = Array.make (max m_max 1) 0.0;
+    y = Array.make (max m_max 1) 0.0;
+    rho = Array.make (max m_max 1) 0.0;
+    row_prod = Array.make (max n 1) 0.0;
     nat_slb;
     nat_sub;
     n_artificial_base = n + m_max;
@@ -661,13 +728,29 @@ let add_row st ~terms ~rel ~rhs =
       if not (Float.is_finite c) then
         Invariant.invalid ~where:"Simplex.add_row" "non-finite coefficient on %d" v)
     terms;
-  List.iter
-    (fun (v, c) ->
-      if not (Float.equal c 0.0) then begin
-        st.col_rows.(v) <- Array.append st.col_rows.(v) [| i |];
-        st.col_coefs.(v) <- Array.append st.col_coefs.(v) [| c |]
-      end)
-    terms;
+  (* Row [i] is the last row, so appending it keeps every column
+     sorted by row and extends the mirror at its end. *)
+  let entries = List.rev (List.filter (fun (_, c) -> not (Float.equal c 0.0)) terms) in
+  let base = st.row_start.(i) in
+  let top = base + List.length entries in
+  if top > Array.length st.row_cols then begin
+    let cap = max top (2 * Array.length st.row_cols) in
+    let cols = Array.make cap 0 and vals = Array.make cap 0.0 in
+    Array.blit st.row_cols 0 cols 0 base;
+    Array.blit st.row_vals 0 vals 0 base;
+    st.row_cols <- cols;
+    st.row_vals <- vals
+  end;
+  List.iteri
+    (fun k (v, c) ->
+      st.col_rows.(v) <- Array.append st.col_rows.(v) [| i |];
+      st.col_coefs.(v) <- Array.append st.col_coefs.(v) [| c |];
+      st.row_cols.(base + k) <- v;
+      st.row_vals.(base + k) <- c)
+    entries;
+  for k = i + 1 to st.m_max do
+    st.row_start.(k) <- top
+  done;
   let j = st.n + i in
   let slb, sub =
     match rel with
@@ -762,16 +845,62 @@ let tableau_row st ~pos =
   if pos < 0 || pos >= st.m then Invariant.invalid ~where:"Simplex.tableau_row" "bad position";
   if st.rows_dirty then
     Invariant.invalid ~where:"Simplex.tableau_row" "rows appended since last factorization";
-  let brow = Array.make st.m 0.0 in
-  Basis.btran_unit st.bas pos brow;
+  Basis.btran_unit st.bas pos st.rho;
+  row_product st st.rho st.row_prod;
   let acc = ref [] in
   for j = st.ncols - 1 downto 0 do
     if st.pos_in_basis.(j) < 0 then begin
-      let a = col_dot st brow j in
+      let a = priced st st.row_prod st.rho j in
       if abs_float a > 1e-11 then acc := (j, a) :: !acc
     end
   done;
   !acc
+
+(* The row-major mirror must hold exactly the column store's
+   structural entries, with every column sorted by row; then, against
+   live factors, the mirrored products must reproduce the column-wise
+   ones bit for bit (±0 equal) for the reduced costs and for every
+   pivot row of B⁻¹A — the contract that keeps the pivots identical. *)
+let check_row_mirror st =
+  let where = "Simplex.check_row_mirror" in
+  let next = Array.sub st.row_start 0 (st.m + 1) in
+  for j = 0 to st.n - 1 do
+    let rows = st.col_rows.(j) and coefs = st.col_coefs.(j) in
+    for k = 0 to Array.length rows - 1 do
+      let i = rows.(k) in
+      if i < 0 || i >= st.m || (k > 0 && rows.(k - 1) >= i) then
+        Invariant.fail ~where "column %d is not sorted over the live rows" j;
+      let e = next.(i) in
+      if
+        e >= st.row_start.(i + 1)
+        || st.row_cols.(e) <> j
+        || not (Float.equal st.row_vals.(e) coefs.(k))
+      then Invariant.fail ~where "row %d: mirror differs from column %d" i j;
+      next.(i) <- e + 1
+    done
+  done;
+  for i = 0 to st.m - 1 do
+    if next.(i) <> st.row_start.(i + 1) then
+      Invariant.fail ~where "row %d: mirror holds entries the columns lack" i
+  done;
+  if Basis.is_factored st.bas && not st.rows_dirty then begin
+    let v = Array.make (max st.m 1) 0.0 and prod = Array.make (max st.n 1) 0.0 in
+    let agree what reduce =
+      row_product st v prod;
+      for j = 0 to st.n - 1 do
+        let mirrored = reduce j prod.(j) and columnwise = reduce j (col_dot st v j) in
+        if not (Float.equal mirrored columnwise) then
+          Invariant.fail ~where "%s, column %d: mirror %h, columns %h" what j mirrored
+            columnwise
+      done
+    in
+    dual_vector st st.cost2 v;
+    agree "reduced cost" (fun j yj -> st.cost2.(j) -. yj);
+    for r = 0 to st.m - 1 do
+      Basis.btran_unit st.bas r v;
+      agree (Printf.sprintf "pivot row %d" r) (fun _ a -> a)
+    done
+  end
 
 type dual_result = Dual_feasible | Dual_infeasible | Dual_stall | Dual_deadline
 
@@ -790,9 +919,7 @@ let dual_restore st =
   else begin
     let feas_tol = st.params.feasibility_tol in
     let piv_tol = 1e-9 in
-    let w = Array.make m 0.0 in
-    let y = Array.make m 0.0 in
-    let brow = Array.make m 0.0 in
+    let w = st.w and y = st.y and rho = st.rho and alpha_row = st.row_prod in
     let max_iter = (4 * (m + 1)) + 200 in
     let rec loop iter refreshed =
       (* Eta-file hygiene before the violation scan: refreshing here
@@ -822,14 +949,15 @@ let dual_restore st =
         let below = st.x_b.(r) < st.lb.(lv) in
         let target = if below then st.lb.(lv) else st.ub.(lv) in
         dual_vector st st.cost2 y;
-        Basis.btran_unit st.bas r brow;
+        Basis.btran_unit st.bas r rho;
+        row_product st rho alpha_row;
         let best = ref (-1) in
         let best_ratio = ref infinity in
         let best_alpha = ref 0.0 in
         let best_dir = ref 1.0 in
         for j = 0 to st.ncols - 1 do
           if st.pos_in_basis.(j) < 0 && st.lb.(j) < st.ub.(j) then begin
-            let alpha = col_dot st brow j in
+            let alpha = priced st alpha_row rho j in
             if abs_float alpha > piv_tol then begin
               let v = st.vals.(j) in
               let at_lb = st.lb.(j) > neg_infinity && v <= st.lb.(j) +. 1e-12 in

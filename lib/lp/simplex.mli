@@ -183,6 +183,17 @@ val tableau_row : state -> pos:int -> (int * float) list
     cut. Raises [Invalid_argument] on a bad position or when rows were
     appended since the last factorization. *)
 
+val check_row_mirror : state -> unit
+(** Invariant check of the pricing kernel. The row-major mirror of the
+    structural entries must match the column store exactly, with every
+    column sorted by row; and, when the state holds live factors (a
+    solve ran and no row was appended since), the mirrored products
+    must equal the column-wise dot products bit for bit, [±0] equal,
+    for the reduced costs of the current cost vector and for every
+    pivot row of [B⁻¹A]. This equality is what keeps the pivots of
+    the mirrored pricing identical to column-wise pricing. Raises
+    {!Agingfp_util.Invariant.Violation} on the first mismatch. *)
+
 type state_stats = {
   warm_solves : int;   (** [reoptimize] calls served from the parent basis *)
   cold_solves : int;   (** full phase-1 restarts (incl. warm fallbacks) *)

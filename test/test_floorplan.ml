@@ -19,6 +19,7 @@ module Related = Agingfp_floorplan.Related
 module Lifetime = Agingfp_floorplan.Lifetime
 module Mttf_mod = Agingfp_aging.Mttf
 module Simplex = Agingfp_lp.Simplex
+module Milp = Agingfp_lp.Milp
 module Audit = Agingfp_floorplan.Audit
 
 let tiny_placed () =
@@ -746,6 +747,37 @@ let test_remap_certify_clean () =
     (c.Remap.lp_checked + c.Remap.milp_checked > 0);
   Alcotest.(check bool) "audit clean" true (Audit.ok r.Remap.audit)
 
+(* ---------- solver search tripwire ---------- *)
+
+(* Exact search counters of [Remap.solve_both] on the canonical B10 (a
+   4x4 design that closes at the root) and B5 (an 8x8 design with a
+   branch-and-bound tree and warm re-solves). Kernel and pricing
+   rewrites must leave every pivot bit-identical, so these counts may
+   only change with a deliberate change to the pivot rules, the
+   refactorization policy or the search; update them then, and only
+   then. *)
+let golden_counters name ~nodes ~lp_iterations ~warm ~cold ~refactorizations ~eta_updates
+    () =
+  let design, baseline = bench_placed name in
+  Milp.reset_cumulative ();
+  ignore (Remap.solve_both design baseline);
+  let s = Milp.cumulative () in
+  let check what expected got = Alcotest.(check int) (name ^ " " ^ what) expected got in
+  check "nodes" nodes s.Milp.nodes;
+  check "lp_iterations" lp_iterations s.Milp.lp_iterations;
+  check "warm_solves" warm s.Milp.warm_solves;
+  check "cold_solves" cold s.Milp.cold_solves;
+  check "refactorizations" refactorizations s.Milp.refactorizations;
+  check "eta_updates" eta_updates s.Milp.eta_updates
+
+let test_golden_b10 =
+  golden_counters "B10" ~nodes:0 ~lp_iterations:209 ~warm:0 ~cold:2 ~refactorizations:4
+    ~eta_updates:209
+
+let test_golden_b5 =
+  golden_counters "B5" ~nodes:17 ~lp_iterations:25764 ~warm:113 ~cold:99
+    ~refactorizations:102 ~eta_updates:3577
+
 (* ---------- properties ---------- *)
 
 let prop_remap_never_breaks_cpd =
@@ -904,6 +936,11 @@ let () =
           Alcotest.test_case "short horizon" `Quick test_lifetime_survives_short_horizon;
           Alcotest.test_case "periodic delay-clean" `Quick
             test_lifetime_periodic_mappings_delay_clean;
+        ] );
+      ( "tripwire",
+        [
+          Alcotest.test_case "B10 golden counters" `Quick test_golden_b10;
+          Alcotest.test_case "B5 golden counters" `Quick test_golden_b5;
         ] );
       ( "properties",
         [

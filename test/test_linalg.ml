@@ -4,6 +4,7 @@
 module Matrix = Agingfp_linalg.Matrix
 module Solve = Agingfp_linalg.Solve
 module Lu = Agingfp_linalg.Lu
+module Basis = Agingfp_lp.Basis
 module Rng = Agingfp_util.Rng
 
 let check_vec msg expected actual =
@@ -198,6 +199,67 @@ let test_sparse_lu_accounting () =
   Alcotest.(check int) "no etas yet" 0 (Lu.eta_count t);
   Alcotest.(check int) "eta file empty" 0 (Lu.eta_nnz t)
 
+(* The solves run once or twice per simplex pivot, so they must not
+   allocate: a boxed float per factor or eta entry was most of their
+   cost. A 120-row sparse basis, factorized and carrying 24 eta
+   updates, is solved 100 times through each entry point; the minor
+   heap must not grow, beyond what the measuring itself costs. *)
+let test_sparse_lu_solves_allocate_nothing () =
+  let m = 120 and updates = 24 in
+  let rng = Rng.create 11 in
+  let sparse_col j =
+    (* Dominant diagonal plus three off-diagonal entries in distinct
+       rows: nonsingular, and sparse like a simplex basis. *)
+    let rows = ref [ j ] and coefs = ref [ 8.0 +. Rng.float rng 1.0 ] in
+    while List.length !rows < 4 do
+      let i = Rng.int rng m in
+      if not (List.mem i !rows) then begin
+        rows := i :: !rows;
+        coefs := (Rng.float rng 2.0 -. 1.0) :: !coefs
+      end
+    done;
+    (Array.of_list !rows, Array.of_list !coefs)
+  in
+  let cols = Array.init m sparse_col in
+  let lu = Lu.create m and basis = Basis.create Basis.Sparse_lu m in
+  Lu.factorize lu ~col:(fun j -> cols.(j));
+  Basis.factorize basis ~col:(fun j -> cols.(j));
+  let applied = ref 0 in
+  while !applied < updates do
+    let r = Rng.int rng m in
+    let rows, coefs = sparse_col r in
+    let w = Array.make m 0.0 in
+    Array.iteri (fun k i -> w.(i) <- coefs.(k)) rows;
+    Lu.ftran lu w;
+    if abs_float w.(r) > 0.01 then begin
+      Lu.update lu ~r ~w;
+      Basis.update basis ~r ~w;
+      incr applied
+    end
+  done;
+  Alcotest.(check int) "etas applied" updates (Lu.eta_count lu);
+  let rhs = Array.init m (fun _ -> Rng.float rng 2.0 -. 1.0) in
+  let v = Array.make m 0.0 in
+  let minor_words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let overhead = minor_words (fun () -> ()) in
+  let check name solve =
+    let words =
+      minor_words (fun () ->
+          for _ = 1 to 100 do
+            Array.blit rhs 0 v 0 m;
+            solve v
+          done)
+    in
+    Alcotest.(check (float 0.0)) (name ^ ": minor words") 0.0 (words -. overhead)
+  in
+  check "Lu.ftran" (Lu.ftran lu);
+  check "Lu.btran" (Lu.btran lu);
+  check "Basis.btran_unit" (fun out -> Basis.btran_unit basis (m / 2) out)
+
 let prop_sparse_lu_matches_dense =
   QCheck2.Test.make
     ~name:"sparse LU ftran/btran match the dense reference on random systems"
@@ -291,6 +353,8 @@ let () =
           Alcotest.test_case "btran" `Quick test_sparse_lu_btran;
           Alcotest.test_case "eta update" `Quick test_sparse_lu_update;
           Alcotest.test_case "accounting" `Quick test_sparse_lu_accounting;
+          Alcotest.test_case "solves allocate nothing" `Quick
+            test_sparse_lu_solves_allocate_nothing;
         ] );
       ( "properties",
         [

@@ -613,6 +613,58 @@ let prop_reoptimize_rhs_change_matches_cold =
         | Simplex.Infeasible -> true
         | _ -> false))
 
+(* ---------- Simplex row-major pricing mirror ---------- *)
+
+(* The mirror must track the column store through assembly, cut-row
+   appends (with duplicate, cancelling and zero terms, which the
+   append coalesces or drops) and row relaxation, and the mirrored
+   pivot rows and reduced costs must equal the column-wise products
+   bit for bit ([Simplex.check_row_mirror] raises otherwise). *)
+let prop_row_mirror_matches_columns =
+  QCheck2.Test.make ~name:"row-major pricing mirror matches the column store exactly"
+    ~count:200 QCheck2.Gen.int (fun seed ->
+      let rng = Rng.create seed in
+      let n = 3 + Rng.int rng 10 and m = 2 + Rng.int rng 8 in
+      let model = Model.create () in
+      let vars =
+        Array.init n (fun _ -> Model.add_var ~ub:(1.0 +. Rng.float rng 9.0) model)
+      in
+      for _ = 1 to m do
+        let lhs =
+          Array.fold_left
+            (fun e v ->
+              if Rng.int rng 3 = 0 then Expr.add_term e (Rng.float rng 4.0 -. 2.0) v else e)
+            Expr.zero vars
+        in
+        let rel = match Rng.int rng 3 with 0 -> Model.Le | 1 -> Model.Ge | _ -> Model.Eq in
+        ignore (Model.add_constraint model lhs rel (Rng.float rng 10.0 -. 2.0))
+      done;
+      Model.set_objective model Model.Maximize
+        (Array.fold_left
+           (fun e v -> Expr.add_term e (Rng.float rng 4.0 -. 2.0) v)
+           Expr.zero vars);
+      let st = Simplex.assemble ~extra_rows:3 model in
+      Simplex.check_row_mirror st;
+      ignore (Simplex.solve_state st);
+      Simplex.check_row_mirror st;
+      let pick () = vars.(Rng.int rng n) in
+      for _ = 1 to 3 do
+        let a = pick () and b = pick () and c = pick () in
+        let terms =
+          [ (a, 0.5 +. Rng.float rng 2.0); (b, 1.0); (c, 0.0); (b, -1.0); (a, 0.25) ]
+        in
+        let rel = if Rng.bool rng then Model.Le else Model.Ge in
+        ignore (Simplex.add_row st ~terms ~rel ~rhs:(Rng.float rng 10.0 -. 2.0));
+        Simplex.check_row_mirror st;
+        ignore (Simplex.reoptimize st);
+        Simplex.check_row_mirror st
+      done;
+      Simplex.set_row_enforced st (Simplex.num_rows st - 1) false;
+      Simplex.check_row_mirror st;
+      ignore (Simplex.reoptimize st);
+      Simplex.check_row_mirror st;
+      true)
+
 let test_reoptimize_restored_bounds_interior () =
   (* B&B unwind regression: max 2x + y, x,y in [0,10], x + y <= 12.
      Cold optimum is x = 10 (nonbasic at ub). Tightening x to [0,4]
@@ -1467,6 +1519,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_presolve_lp_roundtrip;
           QCheck_alcotest.to_alcotest prop_reoptimize_bound_change_matches_cold;
           QCheck_alcotest.to_alcotest prop_reoptimize_rhs_change_matches_cold;
+          QCheck_alcotest.to_alcotest prop_row_mirror_matches_columns;
           QCheck_alcotest.to_alcotest prop_milp_matches_brute_force;
           QCheck_alcotest.to_alcotest prop_default_params_feasibility_oracle;
           QCheck_alcotest.to_alcotest prop_milp_modes_agree;
