@@ -164,6 +164,7 @@ let solver_stats_table () =
       frow "root gap closed" s.Milp.root_gap_closed;
       row "warm LP solves" s.Milp.warm_solves;
       row "cold LP solves" s.Milp.cold_solves;
+      row "warm fallbacks" s.Milp.warm_fallbacks;
       row "LP iterations" s.Milp.lp_iterations;
       row "basis refactorizations" s.Milp.refactorizations;
       row "drift refreshes" s.Milp.drift_refreshes;

@@ -344,7 +344,8 @@ let cached_lp_solve ~certify ~budget ~stats_note ~get ~set ~build ~st_target ~co
   let s1 = Simplex.state_stats st in
   let warm = s1.Simplex.warm_solves > s0.Simplex.warm_solves in
   let iterations = s1.Simplex.lp_iterations - s0.Simplex.lp_iterations in
-  Milp.note_lp_solve ~warm ~iterations
+  let warm_fallbacks = s1.Simplex.warm_fallbacks - s0.Simplex.warm_fallbacks in
+  Milp.note_lp_solve ~warm ~iterations ~warm_fallbacks
     ~refactorizations:(s1.Simplex.refactorizations - s0.Simplex.refactorizations)
     ~eta_updates:(s1.Simplex.eta_updates - s0.Simplex.eta_updates)
     ~fill_in:s1.Simplex.fill_in
@@ -354,6 +355,7 @@ let cached_lp_solve ~certify ~budget ~stats_note ~get ~set ~build ~st_target ~co
       Milp.zero_stats with
       Milp.warm_solves = (if warm then 1 else 0);
       cold_solves = (if warm then 0 else 1);
+      warm_fallbacks;
       lp_iterations = iterations;
       refactorizations = s1.Simplex.refactorizations - s0.Simplex.refactorizations;
       eta_updates = s1.Simplex.eta_updates - s0.Simplex.eta_updates;

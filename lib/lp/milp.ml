@@ -38,6 +38,7 @@ type stats = {
   nodes : int;
   warm_solves : int;
   cold_solves : int;
+  warm_fallbacks : int;
   lp_iterations : int;
   refactorizations : int;
   eta_updates : int;
@@ -59,6 +60,7 @@ let zero_stats =
     nodes = 0;
     warm_solves = 0;
     cold_solves = 0;
+    warm_fallbacks = 0;
     lp_iterations = 0;
     refactorizations = 0;
     eta_updates = 0;
@@ -82,6 +84,7 @@ let add_stats a b =
     nodes = a.nodes + b.nodes;
     warm_solves = a.warm_solves + b.warm_solves;
     cold_solves = a.cold_solves + b.cold_solves;
+    warm_fallbacks = a.warm_fallbacks + b.warm_fallbacks;
     lp_iterations = a.lp_iterations + b.lp_iterations;
     refactorizations = a.refactorizations + b.refactorizations;
     eta_updates = a.eta_updates + b.eta_updates;
@@ -105,11 +108,11 @@ let add_stats a b =
 
 let pp_stats ppf s =
   Format.fprintf ppf
-    "%d nodes, %d warm / %d cold LP solves, %d LP iterations, gap %g (dual bound %g), \
-     stop %a; cuts: %d separated, %d active, %d aged out (root gap closed %g); \
-     heuristics: %d incumbents; kernel: %d refactorizations (%d drift), %d eta updates, \
-     peak fill %d; presolve: %a"
-    s.nodes s.warm_solves s.cold_solves s.lp_iterations s.gap s.dual_bound
+    "%d nodes, %d warm / %d cold LP solves (%d warm fallbacks), %d LP iterations, \
+     gap %g (dual bound %g), stop %a; cuts: %d separated, %d active, %d aged out \
+     (root gap closed %g); heuristics: %d incumbents; kernel: %d refactorizations \
+     (%d drift), %d eta updates, peak fill %d; presolve: %a"
+    s.nodes s.warm_solves s.cold_solves s.warm_fallbacks s.lp_iterations s.gap s.dual_bound
     Budget.pp_stop_reason s.stop s.cuts_separated s.cuts_active s.cuts_aged_out
     s.root_gap_closed s.heuristic_incumbents s.refactorizations s.drift_refreshes
     s.eta_updates s.fill_in Presolve.pp_reductions s.presolve
@@ -129,13 +132,14 @@ let reset_cumulative () = with_cum (fun () -> cum := zero_stats)
 let cumulative () = with_cum (fun () -> !cum)
 let accumulate s = with_cum (fun () -> cum := add_stats !cum s)
 
-let note_lp_solve ?(refactorizations = 0) ?(eta_updates = 0) ?(fill_in = 0)
-    ?(drift_refreshes = 0) ~warm ~iterations () =
+let note_lp_solve ?(warm_fallbacks = 0) ?(refactorizations = 0) ?(eta_updates = 0)
+    ?(fill_in = 0) ?(drift_refreshes = 0) ~warm ~iterations () =
   accumulate
     {
       zero_stats with
       warm_solves = (if warm then 1 else 0);
       cold_solves = (if warm then 0 else 1);
+      warm_fallbacks;
       lp_iterations = iterations;
       refactorizations;
       eta_updates;
@@ -660,6 +664,7 @@ let tree_search ~params ~sign ~int_vars ~lp_params ~jobs model =
             acc with
             warm_solves = acc.warm_solves + s.warm_solves;
             cold_solves = acc.cold_solves + s.cold_solves;
+            warm_fallbacks = acc.warm_fallbacks + s.warm_fallbacks;
             lp_iterations = acc.lp_iterations + s.lp_iterations;
             refactorizations = acc.refactorizations + s.refactorizations;
             eta_updates = acc.eta_updates + s.eta_updates;

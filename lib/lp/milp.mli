@@ -98,7 +98,10 @@ type stats = {
   presolve : Presolve.reductions;
   nodes : int;          (** branch & bound nodes explored *)
   warm_solves : int;    (** node LPs served from a previous basis *)
-  cold_solves : int;    (** full phase-1 LP solves *)
+  cold_solves : int;    (** full phase-1 LP solves, warm fallbacks included *)
+  warm_fallbacks : int;
+      (** warm re-solves that restarted cold
+          ({!Simplex.state_stats}); a subset of [cold_solves] *)
   lp_iterations : int;  (** total simplex pivots/bound flips *)
   refactorizations : int;
       (** basis-kernel factorizations ({!Simplex.state_stats}) *)
@@ -154,6 +157,7 @@ val reset_cumulative : unit -> unit
 val cumulative : unit -> stats
 
 val note_lp_solve :
+  ?warm_fallbacks:int ->
   ?refactorizations:int ->
   ?eta_updates:int ->
   ?fill_in:int ->

@@ -66,6 +66,20 @@ let pp_status ppf = function
    [row_cols], [row_vals]) for the pricing products y·A, which then
    touch only the rows where y is nonzero. The per-iteration vectors
    live in the state, so an iteration allocates nothing of size m. *)
+
+(* Cycle watch of [dual_restore] (see [repeats]): a snapshot of the
+   step state and the columns bound-flipped since it was taken. *)
+type probe = {
+  snap_xb : float array;            (* m_max-sized: x_B at the snapshot *)
+  mutable flipped : int array;      (* columns flipped since the snapshot, each once *)
+  mutable flip_from : float array;  (* their values at the snapshot *)
+  mutable n_flipped : int;
+  mutable live : bool;              (* no pivot or refactorization since the snapshot *)
+  mutable snap_refreshed : bool;
+  mutable power : int;              (* steps the snapshot is kept before a retake *)
+  mutable since : int;              (* steps taken since the snapshot *)
+}
+
 type state = {
   n : int;                   (* structural variable count *)
   mutable m : int;           (* live rows: model rows + appended cut rows *)
@@ -90,6 +104,7 @@ type state = {
   y : float array;           (* m_max-sized: dual vector *)
   rho : float array;         (* m_max-sized: pivot row of B^-1 *)
   row_prod : float array;    (* n-sized: y·A or rho·A over the structurals *)
+  probe : probe;
   nat_slb : float array;     (* natural slack bounds per row, for re-enforcement *)
   nat_sub : float array;
   n_artificial_base : int;   (* first artificial column index *)
@@ -102,12 +117,14 @@ type state = {
   mutable budget : Budget.t; (* replaceable between solves on one state *)
   mutable n_warm : int;
   mutable n_cold : int;
+  mutable n_fallback : int;
   mutable n_iters : int;
 }
 
 type state_stats = {
   warm_solves : int;
   cold_solves : int;
+  warm_fallbacks : int;
   lp_iterations : int;
   refactorizations : int;
   eta_updates : int;
@@ -119,6 +136,7 @@ let state_stats st =
   {
     warm_solves = st.n_warm;
     cold_solves = st.n_cold;
+    warm_fallbacks = st.n_fallback;
     lp_iterations = st.n_iters;
     refactorizations = Basis.refactorizations st.bas;
     eta_updates = Basis.eta_updates st.bas;
@@ -515,6 +533,17 @@ let assemble ?(params = default_params) ?(extra_rows = 0) model =
     y = Array.make (max m_max 1) 0.0;
     rho = Array.make (max m_max 1) 0.0;
     row_prod = Array.make (max n 1) 0.0;
+    probe =
+      {
+        snap_xb = Array.make (max m_max 1) 0.0;
+        flipped = Array.make 16 0;
+        flip_from = Array.make 16 0.0;
+        n_flipped = 0;
+        live = false;
+        snap_refreshed = false;
+        power = 1;
+        since = 0;
+      };
     nat_slb;
     nat_sub;
     n_artificial_base = n + m_max;
@@ -527,6 +556,7 @@ let assemble ?(params = default_params) ?(extra_rows = 0) model =
     budget = params.budget;
     n_warm = 0;
     n_cold = 0;
+    n_fallback = 0;
     n_iters = 0;
   }
 
@@ -904,6 +934,75 @@ let check_row_mirror st =
 
 type dual_result = Dual_feasible | Dual_infeasible | Dual_stall | Dual_deadline
 
+(* ---------- cycle exit of the dual restore ---------- *)
+
+(* Between two pivots the basis and its factors are fixed, so a
+   dual-restore step is a function of x_B, the nonbasic values and the
+   [refreshed] flag alone. Once that state repeats, the loop repeats
+   until its iteration cap and ends in [Dual_stall]; stopping at the
+   repeat gives the same verdict, and so the same cold restart, without
+   the loop. The comparison is bit for bit: any difference, even of a
+   zero's sign, counts as a new state. Only the columns bound-flipped
+   since the snapshot can differ from it among the nonbasic values, so
+   those are logged once each with their value at the snapshot; a
+   pivot or a refactorization drops the snapshot. *)
+
+let[@inline] same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let rec flips_match st p k =
+  k >= p.n_flipped
+  || (same_bits st.vals.(p.flipped.(k)) p.flip_from.(k) && flips_match st p (k + 1))
+
+let rec basics_match st p i =
+  i >= st.m || (same_bits st.x_b.(i) p.snap_xb.(i) && basics_match st p (i + 1))
+
+let take_snapshot st refreshed power =
+  let p = st.probe in
+  Array.blit st.x_b 0 p.snap_xb 0 st.m;
+  p.n_flipped <- 0;
+  p.snap_refreshed <- refreshed;
+  p.power <- power;
+  p.since <- 0;
+  p.live <- true
+
+(* Called once before each step: true when the state equals the
+   snapshot. Otherwise the step is counted, and the snapshot is taken
+   (none held) or retaken (held for [power] steps, which then
+   doubles). A cycle of length λ entered after μ steps is caught
+   within O(μ + λ) steps. *)
+let repeats st refreshed =
+  let p = st.probe in
+  if p.live && Bool.equal refreshed p.snap_refreshed && flips_match st p 0 && basics_match st p 0
+  then true
+  else begin
+    if not p.live then take_snapshot st refreshed 1
+    else if p.since = p.power then take_snapshot st refreshed (2 * p.power);
+    p.since <- p.since + 1;
+    false
+  end
+
+let rec logged p e k = k < p.n_flipped && (p.flipped.(k) = e || logged p e (k + 1))
+
+(* Log column [e]'s value before its first bound flip since the
+   snapshot. The linear search costs no more than the step's pricing
+   pass over the columns; the log doubles when full, so it allocates
+   only while it grows to the longest run's width. *)
+let note_flip st e =
+  let p = st.probe in
+  if not (logged p e 0) then begin
+    let k = p.n_flipped in
+    if k = Array.length p.flipped then begin
+      let flipped = Array.make (2 * k) 0 and flip_from = Array.make (2 * k) 0.0 in
+      Array.blit p.flipped 0 flipped 0 k;
+      Array.blit p.flip_from 0 flip_from 0 k;
+      p.flipped <- flipped;
+      p.flip_from <- flip_from
+    end;
+    p.flipped.(k) <- e;
+    p.flip_from.(k) <- st.vals.(e);
+    p.n_flipped <- k + 1
+  end
+
 (* Dual-simplex-style recovery: restore primal feasibility of the
    basic values from the current basis, picking leaving rows by worst
    bound violation and entering columns by the dual ratio test. A
@@ -912,11 +1011,13 @@ type dual_result = Dual_feasible | Dual_infeasible | Dual_stall | Dual_deadline
    updates or measurable residual drift, it is refactorized once and
    the verdict re-derived — a fresh drift-free factorization passes
    straight through instead of paying the old unconditional dense
-   refresh. *)
+   refresh. A repeated state between pivots ends the run in
+   [Dual_stall] at once (see [repeats]). *)
 let dual_restore st =
   let m = st.m in
   if m = 0 then Dual_feasible
   else begin
+    st.probe.live <- false;
     let feas_tol = st.params.feasibility_tol in
     let piv_tol = 1e-9 in
     let w = st.w and y = st.y and rho = st.rho and alpha_row = st.row_prod in
@@ -925,7 +1026,10 @@ let dual_restore st =
       (* Eta-file hygiene before the violation scan: refreshing here
          also re-derives x_B, so the leaving-row choice below is made
          against the clean factors. *)
-      if Basis.eta_count st.bas >= eta_cap m then refactorize st;
+      if Basis.eta_count st.bas >= eta_cap m then begin
+        refactorize st;
+        st.probe.live <- false
+      end;
       let r = ref (-1) and worst = ref feas_tol in
       for i = 0 to m - 1 do
         let j = st.basis.(i) in
@@ -942,6 +1046,7 @@ let dual_restore st =
       if !r < 0 then Dual_feasible
       else if iter >= max_iter then Dual_stall
       else if Budget.expired st.budget then Dual_deadline
+      else if repeats st refreshed then Dual_stall
       else begin
         if Faults.active () then Faults.checkpoint ~where:"Simplex.dual_restore";
         let r = !r in
@@ -998,6 +1103,7 @@ let dual_restore st =
             if (not drifted) && Basis.eta_count st.bas = 0 then verdict
             else begin
               refactorize ~drift_triggered:drifted st;
+              st.probe.live <- false;
               k ()
             end
           end
@@ -1017,6 +1123,7 @@ let dual_restore st =
               (* The entering variable hits the bound in its movement
                  direction before the leaving row reaches feasibility:
                  bound flip (range = travel_limit, snap is exact). *)
+              note_flip st e;
               st.vals.(e) <- (if dir > 0.0 then st.ub.(e) else st.lb.(e));
               for i = 0 to m - 1 do
                 st.x_b.(i) <- st.x_b.(i) -. (range *. dir *. w.(i))
@@ -1025,6 +1132,7 @@ let dual_restore st =
             end
             else begin
               apply_pivot st r e dir t target w;
+              st.probe.live <- false;
               loop (iter + 1) refreshed
             end
           end
@@ -1072,9 +1180,11 @@ let reoptimize st =
       | Optimal _ when Faults.active () && Faults.forge_infeasible () -> Infeasible
       | s -> s)
     | None ->
-      (* Numerical trouble along the warm path: fall back to a cold
-         solve from a fresh slack/artificial basis. *)
+      (* A stalled dual restore (most often a bound-flip cycle) or a
+         singular basis along the warm path: fall back to a cold solve
+         from a fresh slack/artificial basis. *)
       Log.debug (fun k -> k "warm re-optimization stalled; cold restart");
+      st.n_fallback <- st.n_fallback + 1;
       solve_state st
   end
 

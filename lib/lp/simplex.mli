@@ -97,7 +97,10 @@ val reoptimize : state -> status
     from the basis left by the previous [solve_state]/[reoptimize]
     call (dual-simplex-style feasibility restoration, then primal
     cleanup). Falls back to a cold {!solve_state} on the first call
-    or on numerical trouble. *)
+    and whenever the restoration stalls — usually because its bound
+    flips cycle without a pivot, which it detects exactly and exits at
+    once — or the warm basis turns out singular. Each such fallback is
+    counted in [warm_fallbacks]. *)
 
 val set_var_bounds : state -> int -> lb:float -> ub:float -> unit
 (** Change the bounds of a structural (model) variable in place.
@@ -196,7 +199,12 @@ val check_row_mirror : state -> unit
 
 type state_stats = {
   warm_solves : int;   (** [reoptimize] calls served from the parent basis *)
-  cold_solves : int;   (** full phase-1 restarts (incl. warm fallbacks) *)
+  cold_solves : int;
+      (** [solve_state] runs: explicit cold solves, the first
+          [reoptimize] on a fresh state, and every warm fallback *)
+  warm_fallbacks : int;
+      (** [reoptimize] calls on a solved state that restarted cold
+          (also counted in [cold_solves]) *)
   lp_iterations : int; (** total simplex pivots/bound flips *)
   refactorizations : int; (** basis kernel factorizations *)
   eta_updates : int;   (** product-form updates absorbed by the kernel *)

@@ -755,7 +755,9 @@ let test_remap_certify_clean () =
    rewrites must leave every pivot bit-identical, so these counts may
    only change with a deliberate change to the pivot rules, the
    refactorization policy or the search; update them then, and only
-   then. *)
+   then. The one exception is the dual restore's cycle exit, which
+   ends a repeating run of bound flips early and lands on the same
+   cold restart: it may move [lp_iterations], and nothing else. *)
 let golden_counters name ~nodes ~lp_iterations ~warm ~cold ~refactorizations ~eta_updates
     () =
   let design, baseline = bench_placed name in
@@ -775,7 +777,7 @@ let test_golden_b10 =
     ~eta_updates:209
 
 let test_golden_b5 =
-  golden_counters "B5" ~nodes:17 ~lp_iterations:25764 ~warm:113 ~cold:99
+  golden_counters "B5" ~nodes:17 ~lp_iterations:6039 ~warm:113 ~cold:99
     ~refactorizations:102 ~eta_updates:3577
 
 (* ---------- properties ---------- *)

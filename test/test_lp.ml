@@ -603,15 +603,59 @@ let prop_reoptimize_rhs_change_matches_cold =
           let delta = if rel = Model.Le then -1.0 else 1.0 in
           let c' = c +. delta in
           Simplex.set_rhs st 0 c';
+          let fallbacks0 = (Simplex.state_stats st).Simplex.warm_fallbacks in
           let warm = Simplex.reoptimize st in
+          let fell_back = (Simplex.state_stats st).Simplex.warm_fallbacks > fallbacks0 in
           let cold = Simplex.solve (build_2var_lp ((a, b, rel, c') :: rest, bounds, obj)) in
+          (* A warm fallback is a cold restart on the edited state: it
+             must reproduce a fresh cold solve exactly. *)
           (match (warm, cold) with
+          | Simplex.Optimal w, Simplex.Optimal cs when fell_back ->
+            Array.for_all2 Float.equal w.Simplex.values cs.Simplex.values
           | Simplex.Optimal w, Simplex.Optimal cs ->
             abs_float (w.Simplex.objective -. cs.Simplex.objective) < 1e-6
           | Simplex.Infeasible, Simplex.Infeasible -> true
           | _ -> false)
         | Simplex.Infeasible -> true
         | _ -> false))
+
+(* ---------- Simplex: dual-restore cycle exit ---------- *)
+
+(* Found by a seeded search over small boxed LPs: min 2x + 3y + 2z over
+   x <= 3, y <= 2, z <= 1 with -x - 2y - 2z <= [rhs0] and
+   2x + 2y + z >= 1. After the first row's rhs moves from -2 to -4,
+   the dual restore from the old optimum (z = 1, x basic at 0) flips y
+   up to 2 to repair one basic row and back to 0 to repair the other,
+   with no pivot in between, so after two steps its state repeats
+   exactly. *)
+let cycling_lp ~rhs0 =
+  let m = Model.create () in
+  let x = Model.add_var ~ub:3.0 m in
+  let y = Model.add_var ~ub:2.0 m in
+  let z = Model.add_var ~ub:1.0 m in
+  let lin terms = Expr.sum (List.map (fun (c, v) -> Expr.var ~coef:c v) terms) in
+  ignore (Model.add_constraint m (lin [ (-1.0, x); (-2.0, y); (-2.0, z) ]) Model.Le rhs0);
+  ignore (Model.add_constraint m (lin [ (2.0, x); (2.0, y); (1.0, z) ]) Model.Ge 1.0);
+  Model.set_objective m Model.Maximize (lin [ (-2.0, x); (-3.0, y); (-2.0, z) ]);
+  m
+
+let test_reoptimize_cycle_exit () =
+  let st = Simplex.assemble (cycling_lp ~rhs0:(-2.0)) in
+  ignore (get_optimal (Simplex.solve_state st));
+  Simplex.set_rhs st 0 (-4.0);
+  let s0 = Simplex.state_stats st in
+  let warm = get_optimal (Simplex.reoptimize st) in
+  let s1 = Simplex.state_stats st in
+  let cold = get_optimal (Simplex.solve (cycling_lp ~rhs0:(-4.0))) in
+  Alcotest.(check bool) "values equal the fresh cold solve's bit for bit" true
+    (Array.for_all2 Float.equal warm.Simplex.values cold.Simplex.values);
+  Alcotest.(check int) "one warm fallback" 1
+    (s1.Simplex.warm_fallbacks - s0.Simplex.warm_fallbacks);
+  (* Without the cycle exit the restore runs to its 4(m + 1) + 200
+     iteration cap before the cold restart. *)
+  let cap = (4 * (Simplex.num_rows st + 1)) + 200 in
+  let used = s1.Simplex.lp_iterations - s0.Simplex.lp_iterations in
+  if used >= cap then Alcotest.failf "used %d LP iterations, cap %d" used cap
 
 (* ---------- Simplex row-major pricing mirror ---------- *)
 
@@ -1443,6 +1487,8 @@ let () =
           Alcotest.test_case "Beale anti-cycling" `Quick test_lp_beale_cycling;
           Alcotest.test_case "warm restore leaves interior nonbasic" `Quick
             test_reoptimize_restored_bounds_interior;
+          Alcotest.test_case "warm reoptimize exits a bound-flip cycle" `Quick
+            test_reoptimize_cycle_exit;
           Alcotest.test_case "kernel counters" `Quick test_kernel_counters;
         ] );
       ( "presolve",
