@@ -26,6 +26,9 @@ val default_params : params
 
 type stats = {
   moves_accepted : int;
+  trials : int;
+      (** moves attempted, accepted or rejected: each one applied and
+          timed, so [trials >= moves_accepted] *)
   st_before : float;
   st_after : float;
 }
@@ -44,6 +47,7 @@ val improve :
     adds a fixed per-PE wear offset to the leveling objective — the
     lifetime simulator uses it to re-balance against stress already
     accumulated in earlier operating epochs. [budget] is polled once
-    per move (each move re-runs a full CPD analysis, the dominant
-    cost): on expiry the pass stops and returns the moves accepted so
-    far, never exceeding the deadline by more than one move. *)
+    per move, so on expiry the pass stops and returns the moves
+    accepted so far, never exceeding the deadline by more than one
+    move. A move costs a scan of the free PEs of every context of the
+    hottest PEs, then a CPD analysis of the one context it touches. *)

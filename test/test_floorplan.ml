@@ -502,6 +502,20 @@ let test_refine_move_budget () =
   in
   Alcotest.(check bool) "within budget" true (stats.Refine.moves_accepted <= 3)
 
+let test_refine_trials_counted () =
+  let design, baseline = bench_placed "B8" in
+  let frozen, monitored, baseline_cpd = refine_inputs design baseline in
+  let _, stats = Refine.improve design ~baseline_cpd ~frozen ~monitored baseline in
+  Alcotest.(check bool) "trials >= accepted" true
+    (stats.Refine.trials >= stats.Refine.moves_accepted);
+  (* With no CPD bound and no monitored path, every trial is accepted. *)
+  let no_paths = Array.make (Design.num_contexts design) [] in
+  let _, free =
+    Refine.improve design ~baseline_cpd:infinity ~frozen ~monitored:no_paths baseline
+  in
+  Alcotest.(check bool) "moves made" true (free.Refine.moves_accepted > 0);
+  Alcotest.(check int) "trials = accepted" free.Refine.moves_accepted free.Refine.trials
+
 (* ---------- related-work strategies ---------- *)
 
 let test_related_configurations_preserve_cpd () =
@@ -780,6 +794,20 @@ let test_golden_b5 =
   golden_counters "B5" ~nodes:17 ~lp_iterations:6039 ~warm:113 ~cold:99
     ~refactorizations:102 ~eta_updates:3577
 
+(* The refine pass on B8's baseline under the Freeze plan: a
+   16-context 8x8 design whose pass rejects most of its trials. The
+   values were recorded on the full-rescan implementation the fast scan
+   replaced (test/refine_reference.ml); any reordering of the scan's
+   arithmetic moves them. *)
+let test_golden_b8_refine () =
+  let design, baseline = bench_placed "B8" in
+  let frozen, monitored, baseline_cpd = refine_inputs design baseline in
+  let _, s = Refine.improve design ~baseline_cpd ~frozen ~monitored baseline in
+  Alcotest.(check int) "B8 moves_accepted" 400 s.Refine.moves_accepted;
+  Alcotest.(check int) "B8 trials" 3115 s.Refine.trials;
+  Alcotest.(check int64) "B8 st_after bits" 4613024826006614469L
+    (Int64.bits_of_float s.Refine.st_after)
+
 (* ---------- properties ---------- *)
 
 let prop_remap_never_breaks_cpd =
@@ -802,6 +830,53 @@ let prop_remap_never_breaks_cpd =
       let r = Remap.solve ~mode:Rotation.Rotate design baseline in
       Mapping.validate design r.Remap.mapping = Ok ()
       && r.Remap.new_cpd_ns <= r.Remap.baseline_cpd_ns +. 1e-9)
+
+(* The fast refine pass against the full-rescan implementation it
+   replaced: the same mapping and the same stress figures, bit for
+   bit, on Freeze and Rotate inputs, with and without initial wear. *)
+let prop_refine_matches_reference =
+  let specs = [| "B1"; "B4"; "B7"; "B10"; "B25"; "B2" |] in
+  QCheck2.Test.make ~name:"fast refine matches the full-rescan reference" ~count:24
+    ~print:(fun (spec, seed, rotate, nb, moves, wear) ->
+      Printf.sprintf "%s seed=%d %s neighbourhood=%d max_moves=%d wear=%s" specs.(spec)
+        seed
+        (if rotate then "rotate" else "freeze")
+        nb moves
+        (match wear with None -> "none" | Some w -> string_of_int w))
+    QCheck2.Gen.(
+      tup6
+        (int_bound (Array.length specs - 1))
+        (int_range 1 1000) bool (int_range 1 8) (int_range 1 400)
+        (opt (int_range 0 1_000_000)))
+    (fun (spec, seed, rotate, neighbourhood, max_moves, wear) ->
+      let design = Benchmarks.generate ~seed (Option.get (Benchmarks.find specs.(spec))) in
+      let baseline = Placer.aging_unaware design in
+      let mode = if rotate then Rotation.Rotate else Rotation.Freeze in
+      let start, frozen = Rotation.reference mode design baseline in
+      let monitored = Paths.monitored design baseline in
+      let baseline_cpd = Analysis.cpd design baseline in
+      let initial =
+        Option.map
+          (fun s ->
+            let rng = Random.State.make [| s |] in
+            let contexts = float_of_int (Design.num_contexts design) in
+            Array.init (Fabric.num_pes (Design.fabric design)) (fun _ ->
+                Random.State.float rng contexts))
+          wear
+      in
+      let fast, s =
+        Refine.improve ~params:{ Refine.max_moves; neighbourhood } ?initial design
+          ~baseline_cpd ~frozen ~monitored start
+      in
+      let slow, r =
+        Refine_reference.improve
+          ~params:{ Refine_reference.max_moves; neighbourhood }
+          ?initial design ~baseline_cpd ~frozen ~monitored start
+      in
+      Mapping.equal fast slow
+      && s.Refine.moves_accepted = r.Refine_reference.moves_accepted
+      && Float.equal s.Refine.st_before r.Refine_reference.st_before
+      && Float.equal s.Refine.st_after r.Refine_reference.st_after)
 
 let prop_rotation_reference_preserves_all_path_delays =
   QCheck2.Test.make ~name:"rotation reference preserves every monitored path delay"
@@ -906,6 +981,7 @@ let () =
           Alcotest.test_case "improves concentrated" `Quick
             test_refine_improves_concentrated;
           Alcotest.test_case "move budget" `Quick test_refine_move_budget;
+          Alcotest.test_case "trials counted" `Quick test_refine_trials_counted;
         ] );
       ( "audit",
         [
@@ -943,10 +1019,12 @@ let () =
         [
           Alcotest.test_case "B10 golden counters" `Quick test_golden_b10;
           Alcotest.test_case "B5 golden counters" `Quick test_golden_b5;
+          Alcotest.test_case "B8 refine" `Quick test_golden_b8_refine;
         ] );
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_remap_never_breaks_cpd;
           QCheck_alcotest.to_alcotest prop_rotation_reference_preserves_all_path_delays;
+          QCheck_alcotest.to_alcotest prop_refine_matches_reference;
         ] );
     ]
