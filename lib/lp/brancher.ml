@@ -9,9 +9,8 @@
    which prefers variables that hurt both children — the splits that
    move the dual bound.
 
-   All state lives in flat arrays indexed by variable; the search
-   mutex serializes access, and ties break on the variable index so
-   selection is deterministic. *)
+   All state lives in flat arrays indexed by variable, and ties break
+   on the variable index so selection is deterministic. *)
 
 (* Observations per direction before a variable's pseudocost is
    trusted without a strong-branching probe. *)

@@ -9,7 +9,7 @@
     each probe's delta back through {!observe}.
 
     Selection is deterministic (ties break on candidate order, i.e.
-    variable index); state is guarded by the caller's search mutex. *)
+    variable index). *)
 
 type t
 

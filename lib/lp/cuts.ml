@@ -5,8 +5,8 @@
    Soundness discipline (the part worth being paranoid about): every
    cut emitted here must be valid for the INTEGER hull of the root
    (presolved) model, not merely for the node relaxation it was
-   separated at — the pool shares cuts across the whole tree and
-   across workers. Concretely:
+   separated at — the pool shares cuts across the whole tree.
+   Concretely:
 
    - Gomory shifts use the GLOBAL variable bounds supplied by the
      caller, never the node-tightened branching bounds. The tableau
@@ -48,10 +48,10 @@ let pp_cut ppf c =
     (fun ppf -> List.iter (Format.fprintf ppf " %a" pp_term))
     c.terms c.rhs
 
-(* Pool capacity (also the row slots each worker state reserves), cuts
-   admitted per separation round, the violation needed to accept or
-   reactivate a cut, and the consecutive slack observations before a
-   cut is deactivated. *)
+(* The cut pool's capacity (also the row slots the search's LP state
+   reserves), cuts admitted per separation round, the violation needed
+   to accept or reactivate a cut, and the consecutive slack
+   observations before a cut is deactivated. *)
 let max_cuts = 96
 let max_per_round = 16
 let min_violation = 1e-6
@@ -97,7 +97,6 @@ let entry p id =
 
 let get p id = (entry p id).cut
 let is_active p id = (entry p id).active
-let active_flags p = Array.init p.len (fun id -> p.entries.(id).active)
 
 let key terms rhs =
   let b = Buffer.create 64 in
@@ -106,8 +105,8 @@ let key terms rhs =
   Buffer.contents b
 
 (* Admit a separated cut: deduplicated against everything ever seen,
-   rejected when the pool (= the reserved row capacity of the worker
-   states) is full. Returns the new cut's id. *)
+   rejected when the pool (= the reserved row capacity of the search's
+   LP state) is full. Returns the new cut's id. *)
 let admit p ~provenance ~terms ~rhs =
   if p.len >= max_cuts then None
   else begin
@@ -134,7 +133,7 @@ let eval_terms terms value =
 
 (* Activity-based aging, fed one LP optimum at a time: an active cut
    with positive slack ages; once it exceeds [age_limit] it
-   is deactivated (its row is relaxed in the worker states, it never
+   is deactivated (its row is relaxed in the search's LP state, it never
    binds again unless re-violated). An inactive cut violated by the
    current point re-enters the active set. *)
 let observe p value =

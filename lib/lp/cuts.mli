@@ -7,11 +7,11 @@
     {e root} (presolved) model — Gomory shifts use the global variable
     bounds supplied by the caller rather than node-tightened branching
     bounds, and slack substitution goes through the defining row
-    equations — so the pool can share cuts between tree nodes and
-    workers. Validity is enforced twice: numerically at separation
-    time (worst-case right-hand-side relaxation for dropped
-    coefficients, a small safety margin on every cut) and exactly at
-    the incumbent via {!check_all} in rational arithmetic. *)
+    equations — so the pool can share cuts between tree nodes.
+    Validity is enforced twice: numerically at separation time
+    (worst-case right-hand-side relaxation for dropped coefficients, a
+    small safety margin on every cut) and exactly at the incumbent via
+    {!check_all} in rational arithmetic. *)
 
 type provenance =
   | Gomory of { basic_var : int }
@@ -24,7 +24,7 @@ type provenance =
 val pp_provenance : Format.formatter -> provenance -> unit
 
 type cut = {
-  id : int;           (** pool index; worker row = base rows + id *)
+  id : int;           (** pool index; LP row = base rows + id *)
   provenance : provenance;
   terms : (int * float) list;
       (** structural-variable space, sorted by variable *)
@@ -36,7 +36,8 @@ val pp_cut : Format.formatter -> cut -> unit
 (** {1 Tuning constants} *)
 
 val max_cuts : int
-(** Pool capacity — also the row slots reserved per worker state. *)
+(** The cut pool's capacity — also the row slots the search's LP
+    state reserves. *)
 
 val max_per_round : int
 (** Cuts admitted per separation round. *)
@@ -47,10 +48,9 @@ val age_limit : int
 (** {1 Cut pool}
 
     The pool owns every cut ever admitted. Cuts are append-only — a
-    cut's [id] doubles as its row offset in the worker LP states, so
+    cut's [id] doubles as its row offset in the search's LP state, so
     slots are never reclaimed; deactivation relaxes the row instead
-    ({!Simplex.set_row_enforced}). Under [jobs > 1] the caller guards
-    pool access with the tree mutex. *)
+    ({!Simplex.set_row_enforced}). *)
 
 type pool
 
@@ -61,10 +61,6 @@ val size : pool -> int
 
 val get : pool -> int -> cut
 val is_active : pool -> int -> bool
-
-val active_flags : pool -> bool array
-(** Snapshot of per-cut activity, indexed by id — what workers diff
-    against to lazily enforce/relax their own cut rows. *)
 
 val admit :
   pool -> provenance:provenance -> terms:(int * float) list -> rhs:float -> int option

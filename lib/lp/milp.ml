@@ -14,7 +14,6 @@ type params = {
   presolve : bool;
   warm_start : bool;
   budget : Budget.t;
-  jobs : int;
   cuts : bool;
   heuristics : bool;
 }
@@ -28,7 +27,6 @@ let default_params =
     presolve = true;
     warm_start = true;
     budget = Budget.unlimited;
-    jobs = 1;
     cuts = true;
     heuristics = true;
   }
@@ -156,8 +154,6 @@ let solution_sign dir = match dir with Model.Minimize -> 1.0 | Model.Maximize ->
 
 (* ---------- tree search ---------- *)
 
-module Pool = Agingfp_util.Pool
-
 (* Strong-branching probes seed pseudocosts only this close to the
    root (deeper nodes inherit reliable averages from their ancestors'
    observations) and only for this many unreliable candidates per
@@ -181,34 +177,28 @@ let rel_gap ~primal ~dual =
   else if dual > 0.0 then 0.0
   else infinity
 
-(* One search engine for every [jobs] count: an explicit
-   {!Node_store} tree pumped by [jobs] workers. The shared
-   presolved [model] is never mutated: every worker owns a private
-   model copy and a private assembled solver state, so warm bases stay
-   domain-local (a [Simplex.state] must not cross domains). The
-   incumbent, node counter, brancher state and stop bookkeeping live
-   under one mutex; [jobs = 1] runs the identical code on the calling
-   domain with no pool involved, so sequential solves stay
-   deterministic and pool-free.
+(* The search engine: an explicit {!Node_store} tree pumped on the
+   calling domain. The presolved [model] is never mutated: the search
+   owns a private model copy and one assembled solver state, whose
+   warm basis carries from node to node.
 
-   Soundness of the shared-incumbent prune: a node whose inherited
-   dual bound is not strictly better than the incumbent cannot contain
-   a strictly better integer point, so closing it unexplored never
-   changes the optimal objective — only the node count.
+   Soundness of the incumbent prune: a node whose inherited dual bound
+   is not strictly better than the incumbent cannot contain a strictly
+   better integer point, so closing it unexplored never changes the
+   optimal objective — only the node count.
 
    Soundness of the reported gap: {!Node_store.dual_bound} is a valid
    bound on every integer point still reachable (open and in-flight
    subtrees), and every closed subtree is dominated by the incumbent;
    so [(primal - dual) / scale] bounds the incumbent's distance from
    the global optimum. *)
-let tree_search ~params ~sign ~int_vars ~lp_params ~jobs model =
+let tree_search ~params ~sign ~int_vars ~lp_params model =
   let n_vars = Model.num_vars model in
   let root_lb = Array.init n_vars (Model.var_lb model) in
   let root_ub = Array.init n_vars (Model.var_ub model) in
-  (* Cutting-plane infrastructure, shared across workers. The pool and
-     every Gomory shift see only ROOT (presolved) bounds, never
-     node-tightened branching bounds, so each admitted cut is valid for
-     the whole tree and can be appended to any worker's state. *)
+  (* Cutting-plane infrastructure. The pool and every Gomory shift see
+     only ROOT (presolved) bounds, never node-tightened branching
+     bounds, so each admitted cut is valid for the whole tree. *)
   let cuts_on = params.cuts && int_vars <> [] in
   let pool = Cuts.create_pool () in
   let base_rows = Model.num_constraints model in
@@ -234,9 +224,7 @@ let tree_search ~params ~sign ~int_vars ~lp_params ~jobs model =
   let root_obj1 = ref None in
   let heur_found = ref 0 in
   let heur_on = params.heuristics && int_vars <> [] in
-  let mx = Mutex.create () in
-  let cond = Condition.create () in
-  let store = Node_store.create ~workers:jobs in
+  let store = Node_store.create () in
   ignore
     (Node_store.add store ~parent:(-1) ~depth:0 ~bound:neg_infinity ~fixes:[]
        ~branch:None);
@@ -246,11 +234,6 @@ let tree_search ~params ~sign ~int_vars ~lp_params ~jobs model =
   let halt = ref false in
   let budget_hit = ref false in
   let stop = ref Budget.Optimal in
-  let locked f =
-    Mutex.lock mx;
-    Fun.protect ~finally:(fun () -> Mutex.unlock mx) f
-  in
-  (* Callees below run with [mx] held. *)
   let note_stop r = stop := worst_stop !stop r in
   let give_up reason =
     budget_hit := true;
@@ -270,10 +253,10 @@ let tree_search ~params ~sign ~int_vars ~lp_params ~jobs model =
      deliberately never [finish]ed: its bound keeps anchoring the
      global dual bound, so an interrupted search never overstates what
      it proved. *)
-  let rec take wid =
+  let rec take () =
     if !halt then None
     else
-      match Node_store.take store ~wid with
+      match Node_store.take store with
       | Some n ->
         if Budget.expired params.budget then begin
           give_up (Budget.status params.budget);
@@ -285,360 +268,294 @@ let tree_search ~params ~sign ~int_vars ~lp_params ~jobs model =
         end
         else if not (better_bound n.Node_store.bound) then begin
           (* Pruned by the incumbent: closed without LP work. *)
-          Node_store.finish store ~wid;
-          take wid
+          Node_store.finish store;
+          take ()
         end
         else begin
           incr nodes;
           Some n
         end
-      | None ->
-        if Node_store.active_count store = 0 then None
-        else begin
-          Condition.wait cond mx;
-          take wid
-        end
+      | None -> None
   in
-  let worker_stats = Array.make jobs None in
-  let worker wid () =
-    let wmodel = Model.copy model in
-    let extra_rows = if cuts_on then Cuts.max_cuts else 0 in
-    let wst = Simplex.assemble ~params:lp_params ~extra_rows wmodel in
-    let solved_once = ref false in
-    let applied = ref [] in
-    (* Worker-local mirror of the shared pool. Cut [id] lives at row
-       [base_rows + id] in every worker state (cuts are append-only and
-       applied in id order), and each worker keeps a private copy of
-       the cut's terms so separation never touches the pool outside the
-       lock. *)
-    let wcut_terms = Array.make (max 1 extra_rows) [] in
-    let wcut_rhs = Array.make (max 1 extra_rows) 0.0 in
-    let wcut_enforced = Array.make (max 1 extra_rows) true in
-    let wn_cuts = ref 0 in
-    let sync_cuts () =
-      if cuts_on then begin
-        let news, flags =
-          locked (fun () ->
-              let k = Cuts.size pool in
-              ( Array.init (k - !wn_cuts) (fun t ->
-                    let c = Cuts.get pool (!wn_cuts + t) in
-                    (c.Cuts.terms, c.Cuts.rhs)),
-                Cuts.active_flags pool ))
-        in
-        Array.iter
-          (fun (terms, rhs) ->
-            ignore (Simplex.add_row wst ~terms ~rel:Model.Le ~rhs);
-            wcut_terms.(!wn_cuts) <- terms;
-            wcut_rhs.(!wn_cuts) <- rhs;
-            wcut_enforced.(!wn_cuts) <- true;
-            incr wn_cuts)
-          news;
-        for id = 0 to !wn_cuts - 1 do
-          let want = flags.(id) in
-          if want <> wcut_enforced.(id) then begin
-            Simplex.set_row_enforced wst (base_rows + id) want;
-            wcut_enforced.(id) <- want
-          end
-        done
-      end
+  let node_model = Model.copy model in
+  let extra_rows = if cuts_on then Cuts.max_cuts else 0 in
+  let st = Simplex.assemble ~params:lp_params ~extra_rows node_model in
+  let solved_once = ref false in
+  let applied = ref [] in
+  (* Cut [id] lives at row [base_rows + id] of [st]: cuts are
+     append-only and applied in id order. [enforced] tracks which of
+     those rows [st] currently enforces. *)
+  let enforced = Array.make (max 1 extra_rows) true in
+  let n_cuts = ref 0 in
+  (* Append the pool's cuts that [st] does not hold yet, then follow
+     any activity flips from pool aging. *)
+  let sync_cuts () =
+    if cuts_on then begin
+      let k = Cuts.size pool in
+      for id = !n_cuts to k - 1 do
+        let c = Cuts.get pool id in
+        ignore (Simplex.add_row st ~terms:c.Cuts.terms ~rel:Model.Le ~rhs:c.Cuts.rhs);
+        enforced.(id) <- true
+      done;
+      n_cuts := k;
+      for id = 0 to k - 1 do
+        let want = Cuts.is_active pool id in
+        if want <> enforced.(id) then begin
+          Simplex.set_row_enforced st (base_rows + id) want;
+          enforced.(id) <- want
+        end
+      done
+    end
+  in
+  let row_terms i =
+    if i < base_rows then model_terms.(i) else (Cuts.get pool (i - base_rows)).Cuts.terms
+  in
+  let row_rhs i =
+    if i < base_rows then model_rhs.(i) else (Cuts.get pool (i - base_rows)).Cuts.rhs
+  in
+  let row_rel i = if i < base_rows then model_rel.(i) else Model.Le in
+  (* One separation round at the current optimum: collect violated
+     Gomory and cover candidates, offer the most violated to the pool,
+     then append whatever the pool admitted. Returns the number of rows
+     added to [st]. *)
+  let separate_round (sol : Simplex.solution) =
+    let before = !n_cuts in
+    let gom =
+      Cuts.separate_gomory ~st
+        ~is_int:(fun v -> int_mark.(v))
+        ~global_lb:root_lb ~global_ub:root_ub ~row_terms ~row_rhs ~row_rel
     in
-    let row_terms i = if i < base_rows then model_terms.(i) else wcut_terms.(i - base_rows) in
-    let row_rhs i = if i < base_rows then model_rhs.(i) else wcut_rhs.(i - base_rows) in
-    let row_rel i = if i < base_rows then model_rel.(i) else Model.Le in
-    (* One separation round at the current optimum: collect violated
-       Gomory and cover candidates, offer the most violated to the
-       shared pool, then append whatever the pool holds that this state
-       does not (including other workers' cuts). Returns the number of
-       rows added to [wst]. *)
-    let separate_round (sol : Simplex.solution) =
-      let before = !wn_cuts in
-      let gom =
-        Cuts.separate_gomory ~st:wst
-          ~is_int:(fun v -> int_mark.(v))
-          ~global_lb:root_lb ~global_ub:root_ub ~row_terms ~row_rhs ~row_rel
-      in
-      let cov =
-        Cuts.separate_cover ~model_rows:cover_rows ~is_binary ~global_lb:root_lb
-          ~global_ub:root_ub ~values:sol.Simplex.values
-      in
-      let cands =
-        List.filteri
-          (fun i _ -> i < Cuts.max_per_round)
-          (List.stable_sort
-             (fun (_, _, _, va) (_, _, _, vb) -> Float.compare vb va)
-             (gom @ cov))
-      in
-      locked (fun () ->
-          List.iter
-            (fun (provenance, terms, rhs, _) ->
-              ignore (Cuts.admit pool ~provenance ~terms ~rhs))
-            cands);
-      sync_cuts ();
-      !wn_cuts - before
+    let cov =
+      Cuts.separate_cover ~model_rows:cover_rows ~is_binary ~global_lb:root_lb
+        ~global_ub:root_ub ~values:sol.Simplex.values
     in
-    (* Separation rounds: append violated cuts, dual-simplex repair on
-       the warm basis, repeat. [Infeasible] is a sound node closure —
-       every pooled cut is valid for the integer hull, so a
-       cut-infeasible LP contains no integer point. Any other
-       non-optimal status keeps the previous (weaker but still valid)
-       relaxation optimum; the stale rows stay harmlessly enforced. *)
-    let rec cut_loop rounds (sol : Simplex.solution) =
-      if rounds <= 0 || Budget.expired params.budget then Some sol
-      else if separate_round sol = 0 then Some sol
-      else
-        match Simplex.reoptimize wst with
-        | Simplex.Optimal sol' -> cut_loop (rounds - 1) sol'
-        | Simplex.Infeasible -> None
-        | Simplex.Unbounded | Simplex.Iteration_limit | Simplex.Deadline
-        | Simplex.Fault _ -> Some sol
+    let cands =
+      List.filteri
+        (fun i _ -> i < Cuts.max_per_round)
+        (List.stable_sort
+           (fun (_, _, _, va) (_, _, _, vb) -> Float.compare vb va)
+           (gom @ cov))
     in
-    (* Root primal heuristics (diving + feasibility pump) on this
-       worker's own state, under a sliced budget. Outcomes have already
-       passed Model.check_feasible; install whichever beat the
-       incumbent. *)
-    let run_root_heuristics (sol : Simplex.solution) =
-      if heur_on && not (Budget.expired params.budget) then begin
-        let hbudget =
-          if Budget.is_unlimited params.budget then Budget.unlimited
-          else
-            Budget.slice params.budget ~fraction:Heuristics.budget_fraction
-        in
-        Simplex.set_budget wst hbudget;
-        let hres =
-          Heuristics.run ~model:wmodel ~st:wst ~int_vars ~budget:hbudget ~relaxed:sol
-        in
-        Simplex.set_budget wst lp_params.Simplex.budget;
-        List.iter
-          (fun (o : Heuristics.outcome) ->
-            locked (fun () ->
-                if better o.Heuristics.objective then begin
-                  incumbent :=
-                    Some
-                      {
-                        Simplex.values = o.Heuristics.values;
-                        objective = o.Heuristics.objective;
-                        iterations = 0;
-                      };
-                  incr heur_found;
-                  Log.debug (fun k ->
-                      k "heuristic incumbent (%s): objective %g" o.Heuristics.source
-                        o.Heuristics.objective);
-                  if params.first_solution then halt := true
-                end))
-          hres.Heuristics.found
-      end
-    in
-    let enter (n : Node_store.node) =
-      (* Reset whatever the previous node changed, then apply this
-         node's path root-first so the deepest branching wins when a
-         variable was branched on twice. *)
-      List.iter
-        (fun (v, _, _) ->
-          Model.set_bounds wmodel v ~lb:root_lb.(v) ~ub:root_ub.(v);
-          Simplex.set_var_bounds wst v ~lb:root_lb.(v) ~ub:root_ub.(v))
-        !applied;
-      List.iter
-        (fun (v, lb, ub) ->
-          Model.set_bounds wmodel v ~lb ~ub;
-          Simplex.set_var_bounds wst v ~lb ~ub)
-        (List.rev n.Node_store.fixes);
-      applied := n.Node_store.fixes
-    in
-    let close_node () =
-      locked (fun () ->
-          Node_store.finish store ~wid;
-          Condition.broadcast cond)
-    in
-    (* Strong-branching probe: bound [v] one way, reoptimize from the
-       node's basis, undo. Returns the sign-space objective
-       degradation ([1e12] when the probe proves that child
-       infeasible — the strongest possible split), or [None] when the
-       probe LP could not finish; the bounds are restored either way
-       and the next [enter]/reoptimize recovers from whatever basis
-       the probe left behind. *)
-    let probe ~(sol : Simplex.solution) v dir =
-      let lb = Model.var_lb wmodel v and ub = Model.var_ub wmodel v in
-      let x = sol.Simplex.values.(v) in
-      (match dir with
-      | Node_store.Down ->
-        Simplex.set_var_bounds wst v ~lb ~ub:(Float.of_int (int_of_float (floor x)))
-      | Node_store.Up ->
-        Simplex.set_var_bounds wst v ~lb:(Float.of_int (int_of_float (ceil x))) ~ub);
-      let status = Simplex.reoptimize wst in
-      Simplex.set_var_bounds wst v ~lb ~ub;
-      match status with
-      | Simplex.Optimal s -> Some ((sign *. s.objective) -. (sign *. sol.objective))
-      | Simplex.Infeasible -> Some 1e12
+    List.iter
+      (fun (provenance, terms, rhs, _) -> ignore (Cuts.admit pool ~provenance ~terms ~rhs))
+      cands;
+    sync_cuts ();
+    !n_cuts - before
+  in
+  (* Separation rounds: append violated cuts, dual-simplex repair on
+     the warm basis, repeat. [Infeasible] is a sound node closure —
+     every pooled cut is valid for the integer hull, so a
+     cut-infeasible LP contains no integer point. Any other
+     non-optimal status keeps the previous (weaker but still valid)
+     relaxation optimum; the stale rows stay harmlessly enforced. *)
+  let rec cut_loop rounds (sol : Simplex.solution) =
+    if rounds <= 0 || Budget.expired params.budget then Some sol
+    else if separate_round sol = 0 then Some sol
+    else
+      match Simplex.reoptimize st with
+      | Simplex.Optimal sol' -> cut_loop (rounds - 1) sol'
+      | Simplex.Infeasible -> None
       | Simplex.Unbounded | Simplex.Iteration_limit | Simplex.Deadline
-      | Simplex.Fault _ -> None
-    in
-    let process (n : Node_store.node) =
-      enter n;
-      (* Pick up cuts other workers admitted since this worker's last
-         node, plus any activity flips from pool aging. *)
-      sync_cuts ();
-      let status =
-        if (not !solved_once) || not params.warm_start then Simplex.solve_state wst
-        else Simplex.reoptimize wst
+      | Simplex.Fault _ -> Some sol
+  in
+  (* Root primal heuristics (diving + feasibility pump) on the search's
+     solver state, under a sliced budget. Outcomes have already passed
+     Model.check_feasible; install whichever beat the incumbent. *)
+  let run_root_heuristics (sol : Simplex.solution) =
+    if heur_on && not (Budget.expired params.budget) then begin
+      let hbudget =
+        if Budget.is_unlimited params.budget then Budget.unlimited
+        else Budget.slice params.budget ~fraction:Heuristics.budget_fraction
       in
-      solved_once := true;
-      match status with
-      | Simplex.Infeasible -> close_node ()
-      | Simplex.Unbounded ->
-        Log.warn (fun k -> k "unbounded LP relaxation during branch & bound");
-        close_node ()
-      | Simplex.Iteration_limit -> locked (fun () -> give_up Budget.Iteration_limit)
-      | Simplex.Deadline -> locked (fun () -> give_up Budget.Deadline)
-      | Simplex.Fault msg ->
-        (* A faulted solver state cannot be trusted for siblings; stop
-           the whole search and keep the incumbent found so far. *)
-        locked (fun () -> give_up (Budget.Fault msg))
-      | Simplex.Optimal sol0 -> (
-        let at_root = n.Node_store.depth = 0 in
+      Simplex.set_budget st hbudget;
+      let hres =
+        Heuristics.run ~model:node_model ~st ~int_vars ~budget:hbudget ~relaxed:sol
+      in
+      Simplex.set_budget st lp_params.Simplex.budget;
+      List.iter
+        (fun (o : Heuristics.outcome) ->
+          if better o.Heuristics.objective then begin
+            incumbent :=
+              Some
+                {
+                  Simplex.values = o.Heuristics.values;
+                  objective = o.Heuristics.objective;
+                  iterations = 0;
+                };
+            incr heur_found;
+            Log.debug (fun k ->
+                k "heuristic incumbent (%s): objective %g" o.Heuristics.source
+                  o.Heuristics.objective);
+            if params.first_solution then halt := true
+          end)
+        hres.Heuristics.found
+    end
+  in
+  let enter (n : Node_store.node) =
+    (* Reset whatever the previous node changed, then apply this
+       node's path root-first so the deepest branching wins when a
+       variable was branched on twice. *)
+    List.iter
+      (fun (v, _, _) ->
+        Model.set_bounds node_model v ~lb:root_lb.(v) ~ub:root_ub.(v);
+        Simplex.set_var_bounds st v ~lb:root_lb.(v) ~ub:root_ub.(v))
+      !applied;
+    List.iter
+      (fun (v, lb, ub) ->
+        Model.set_bounds node_model v ~lb ~ub;
+        Simplex.set_var_bounds st v ~lb ~ub)
+      (List.rev n.Node_store.fixes);
+    applied := n.Node_store.fixes
+  in
+  (* Strong-branching probe: bound [v] one way, reoptimize from the
+     node's basis, undo. Returns the sign-space objective
+     degradation ([1e12] when the probe proves that child
+     infeasible — the strongest possible split), or [None] when the
+     probe LP could not finish; the bounds are restored either way
+     and the next [enter]/reoptimize recovers from whatever basis
+     the probe left behind. *)
+  let probe ~(sol : Simplex.solution) v dir =
+    let lb = Model.var_lb node_model v and ub = Model.var_ub node_model v in
+    let x = sol.Simplex.values.(v) in
+    (match dir with
+    | Node_store.Down ->
+      Simplex.set_var_bounds st v ~lb ~ub:(Float.of_int (int_of_float (floor x)))
+    | Node_store.Up ->
+      Simplex.set_var_bounds st v ~lb:(Float.of_int (int_of_float (ceil x))) ~ub);
+    let status = Simplex.reoptimize st in
+    Simplex.set_var_bounds st v ~lb ~ub;
+    match status with
+    | Simplex.Optimal s -> Some ((sign *. s.objective) -. (sign *. sol.objective))
+    | Simplex.Infeasible -> Some 1e12
+    | Simplex.Unbounded | Simplex.Iteration_limit | Simplex.Deadline
+    | Simplex.Fault _ -> None
+  in
+  let process (n : Node_store.node) =
+    enter n;
+    (* Pick up activity flips from pool aging since the last node. *)
+    sync_cuts ();
+    let status =
+      if (not !solved_once) || not params.warm_start then Simplex.solve_state st
+      else Simplex.reoptimize st
+    in
+    solved_once := true;
+    match status with
+    | Simplex.Infeasible -> Node_store.finish store
+    | Simplex.Unbounded ->
+      Log.warn (fun k -> k "unbounded LP relaxation during branch & bound");
+      Node_store.finish store
+    | Simplex.Iteration_limit -> give_up Budget.Iteration_limit
+    | Simplex.Deadline -> give_up Budget.Deadline
+    | Simplex.Fault msg ->
+      (* A faulted solver state cannot be trusted for siblings; stop
+         the whole search and keep the incumbent found so far. *)
+      give_up (Budget.Fault msg)
+    | Simplex.Optimal sol0 -> (
+      let at_root = n.Node_store.depth = 0 in
+      if at_root then begin
+        if !root_obj0 = None then root_obj0 := Some (sign *. sol0.objective);
+        (* In feasibility mode (first_solution) the incumbent IS the
+           goal: pump/dive straight away and skip the dual-bound work
+           below if something lands. *)
+        if params.first_solution then run_root_heuristics sol0
+      end;
+      let rounds =
+        if (not cuts_on) || !halt then 0
+        else if at_root then cut_rounds_root
+        else if n.Node_store.depth <= cut_node_depth then cut_rounds_node
+        else 0
+      in
+      match cut_loop rounds sol0 with
+      | None ->
+        (* The cut rows made this node's LP infeasible: since pooled
+           cuts are globally valid, the node holds no integer point. *)
+        Node_store.finish store
+      | Some sol -> (
         if at_root then begin
-          locked (fun () ->
-              if !root_obj0 = None then root_obj0 := Some (sign *. sol0.objective));
-          (* In feasibility mode (first_solution) the incumbent IS the
-             goal: pump/dive straight away and skip the dual-bound work
-             below if something lands. *)
-          if params.first_solution then run_root_heuristics sol0
-        end;
-        let rounds =
-          if (not cuts_on) || locked (fun () -> !halt) then 0
-          else if at_root then cut_rounds_root
-          else if n.Node_store.depth <= cut_node_depth then cut_rounds_node
-          else 0
-        in
-        match cut_loop rounds sol0 with
-        | None ->
-          (* The cut rows made this node's LP infeasible: since pooled
-             cuts are globally valid, the node holds no integer point. *)
-          close_node ()
-        | Some sol ->
-        if at_root then begin
-          locked (fun () -> root_obj1 := Some (sign *. sol.objective));
+          root_obj1 := Some (sign *. sol.objective);
           if not params.first_solution then run_root_heuristics sol
         end;
-        if cuts_on && !wn_cuts > 0 then
-          locked (fun () -> Cuts.observe pool (fun v -> sol.Simplex.values.(v)));
+        if cuts_on && !n_cuts > 0 then Cuts.observe pool (fun v -> sol.Simplex.values.(v));
         let obj = sign *. sol.objective in
         let candidates =
           Brancher.fractional ~integrality_tol:params.integrality_tol int_vars
             sol.Simplex.values
         in
-        let action =
-          locked (fun () ->
-              (* This node's own relaxation is one free pseudocost
-                 observation of the branching that created it. *)
-              (match n.Node_store.branch with
-              | Some b when Float.is_finite n.Node_store.bound ->
-                Brancher.observe brancher ~var:b.Node_store.var ~dir:b.Node_store.dir
-                  ~frac:b.Node_store.frac ~delta:(obj -. n.Node_store.bound)
-              | _ -> ());
-              if not (better sol.objective) then `Close
+        (* This node's own relaxation is one free pseudocost
+           observation of the branching that created it. *)
+        (match n.Node_store.branch with
+        | Some b when Float.is_finite n.Node_store.bound ->
+          Brancher.observe brancher ~var:b.Node_store.var ~dir:b.Node_store.dir
+            ~frac:b.Node_store.frac ~delta:(obj -. n.Node_store.bound)
+        | _ -> ());
+        if not (better sol.objective) then Node_store.finish store
+        else
+          match candidates with
+          | [] ->
+            incumbent := Some { sol with Simplex.values = Array.copy sol.values };
+            if params.first_solution then halt := true;
+            Node_store.finish store
+          | _ :: _ -> (
+            (* Probes pay off only when the dual bound matters: a
+               feasibility dive (first_solution) skips them. *)
+            let probes =
+              if params.first_solution || n.Node_store.depth >= strong_branch_depth then []
               else
-                match candidates with
-                | [] -> `Incumbent
-                | _ :: _ ->
-                  (* Probes pay off only when the dual bound matters:
-                     a feasibility dive (first_solution) skips them. *)
-                  let probes =
-                    if
-                      params.first_solution
-                      || n.Node_store.depth >= strong_branch_depth
-                    then []
-                    else
-                      List.filteri
-                        (fun i _ -> i < strong_branch_width)
-                        (List.filter
-                           (fun (v, _) -> Brancher.unreliable brancher ~var:v)
-                           candidates)
-                  in
-                  `Branch probes)
-        in
-        (match action with
-        | `Close -> close_node ()
-        | `Incumbent ->
-          locked (fun () ->
-              (* Re-check under the lock: a sibling worker may have
-                 landed a better incumbent since the decision. *)
-              if better sol.objective then begin
-                incumbent := Some { sol with Simplex.values = Array.copy sol.values };
-                if params.first_solution then halt := true
-              end;
-              Node_store.finish store ~wid;
-              Condition.broadcast cond)
-        | `Branch probes ->
-          (* Strong-branching probes run outside the lock on this
-             worker's private solver state. *)
-          let observations =
-            List.concat_map
+                List.filteri
+                  (fun i _ -> i < strong_branch_width)
+                  (List.filter
+                     (fun (v, _) -> Brancher.unreliable brancher ~var:v)
+                     candidates)
+            in
+            List.iter
               (fun (v, x) ->
                 let obs dir frac =
                   match probe ~sol v dir with
-                  | Some delta -> [ (v, dir, frac, delta) ]
-                  | None -> []
+                  | Some delta -> Brancher.observe brancher ~var:v ~dir ~frac ~delta
+                  | None -> ()
                 in
                 let fdown = x -. floor x in
-                obs Node_store.Down fdown @ obs Node_store.Up (1.0 -. fdown))
-              probes
-          in
-          locked (fun () ->
-              List.iter
-                (fun (v, dir, frac, delta) ->
-                  Brancher.observe brancher ~var:v ~dir ~frac ~delta)
-                observations;
-              match Brancher.select brancher candidates with
-              | None -> Node_store.finish store ~wid (* unreachable: candidates <> [] *)
-              | Some v ->
-                let x = sol.Simplex.values.(v) in
-                let lb = Model.var_lb wmodel v and ub = Model.var_ub wmodel v in
-                let fdown = x -. floor x in
-                let child dir fix frac =
-                  ignore
-                    (Node_store.add store ~parent:n.Node_store.id
-                       ~depth:(n.Node_store.depth + 1) ~bound:obj
-                       ~fixes:(fix :: n.Node_store.fixes)
-                       ~branch:(Some { Node_store.var = v; dir; frac }))
-                in
-                let down_fix = (v, lb, Float.of_int (int_of_float (floor x))) in
-                let up_fix = (v, Float.of_int (int_of_float (ceil x)), ub) in
-                (* Far child first, near child second: the near child
-                   gets the larger id, so the LIFO plunge explores the
-                   child nearest the relaxed value first. *)
-                if fdown > 0.5 then begin
-                  child Node_store.Down down_fix fdown;
-                  child Node_store.Up up_fix (1.0 -. fdown)
-                end
-                else begin
-                  child Node_store.Up up_fix (1.0 -. fdown);
-                  child Node_store.Down down_fix fdown
-                end;
-                Node_store.finish store ~wid;
-                Condition.broadcast cond)))
-    in
-    let rec loop () =
-      match locked (fun () -> take wid) with
-      | None -> ()
-      | Some n ->
-        (try process n
-         with Faults.Injected where -> locked (fun () -> give_up (Budget.Fault where)));
-        loop ()
-    in
-    Fun.protect
-      ~finally:(fun () ->
-        (* A worker dying for any reason must release the others. *)
-        locked (fun () ->
-            halt := true;
-            Condition.broadcast cond);
-        worker_stats.(wid) <- Some (Simplex.state_stats wst))
-      loop
+                (* Up first: each probe leaves the basis the next one
+                   re-optimizes from. *)
+                obs Node_store.Up (1.0 -. fdown);
+                obs Node_store.Down fdown)
+              probes;
+            match Brancher.select brancher candidates with
+            | None -> Node_store.finish store (* unreachable: candidates <> [] *)
+            | Some v ->
+              let x = sol.Simplex.values.(v) in
+              let lb = Model.var_lb node_model v and ub = Model.var_ub node_model v in
+              let fdown = x -. floor x in
+              let child dir fix frac =
+                ignore
+                  (Node_store.add store ~parent:n.Node_store.id
+                     ~depth:(n.Node_store.depth + 1) ~bound:obj
+                     ~fixes:(fix :: n.Node_store.fixes)
+                     ~branch:(Some { Node_store.var = v; dir; frac }))
+              in
+              let down_fix = (v, lb, Float.of_int (int_of_float (floor x))) in
+              let up_fix = (v, Float.of_int (int_of_float (ceil x)), ub) in
+              (* Far child first, near child second: the near child
+                 gets the larger id, so the LIFO plunge explores the
+                 child nearest the relaxed value first. *)
+              if fdown > 0.5 then begin
+                child Node_store.Down down_fix fdown;
+                child Node_store.Up up_fix (1.0 -. fdown)
+              end
+              else begin
+                child Node_store.Up up_fix (1.0 -. fdown);
+                child Node_store.Down down_fix fdown
+              end;
+              Node_store.finish store)))
   in
-  if jobs > 1 then begin
-    let pool = Pool.get jobs in
-    Pool.run pool (Array.init jobs (fun wid () -> worker wid ()))
-  end
-  else worker 0 ();
+  let rec loop () =
+    match take () with
+    | None -> ()
+    | Some n ->
+      (try process n with Faults.Injected where -> give_up (Budget.Fault where));
+      loop ()
+  in
+  loop ();
   (* The frontier left behind is exactly what was not proven: its
      minimum is the global dual bound. A drained tree proves the
      incumbent optimal (or the model infeasible). *)
@@ -655,24 +572,7 @@ let tree_search ~params ~sign ~int_vars ~lp_params ~jobs model =
     | None -> if (not (Float.is_finite dual_sign)) && dual_sign > 0.0 then 0.0 else infinity
     | Some s -> rel_gap ~primal:(sign *. s.objective) ~dual:dual_sign
   in
-  let kernel =
-    Array.fold_left
-      (fun acc -> function
-        | None -> acc
-        | Some (s : Simplex.state_stats) ->
-          {
-            acc with
-            warm_solves = acc.warm_solves + s.warm_solves;
-            cold_solves = acc.cold_solves + s.cold_solves;
-            warm_fallbacks = acc.warm_fallbacks + s.warm_fallbacks;
-            lp_iterations = acc.lp_iterations + s.lp_iterations;
-            refactorizations = acc.refactorizations + s.refactorizations;
-            eta_updates = acc.eta_updates + s.eta_updates;
-            fill_in = max acc.fill_in s.fill_in;
-            drift_refreshes = acc.drift_refreshes + s.drift_refreshes;
-          })
-      zero_stats worker_stats
-  in
+  let kernel = Simplex.state_stats st in
   (* Audit-grade guarantee: the incumbent must satisfy every cut ever
      admitted — active or aged out — exactly, in rational arithmetic.
      A violation means a separation bug produced an invalid inequality
@@ -705,7 +605,15 @@ let tree_search ~params ~sign ~int_vars ~lp_params ~jobs model =
   ( !incumbent,
     !budget_hit,
     {
-      kernel with
+      zero_stats with
+      warm_solves = kernel.Simplex.warm_solves;
+      cold_solves = kernel.Simplex.cold_solves;
+      warm_fallbacks = kernel.Simplex.warm_fallbacks;
+      lp_iterations = kernel.Simplex.lp_iterations;
+      refactorizations = kernel.Simplex.refactorizations;
+      eta_updates = kernel.Simplex.eta_updates;
+      fill_in = kernel.Simplex.fill_in;
+      drift_refreshes = kernel.Simplex.drift_refreshes;
       nodes = !nodes;
       stop = !stop;
       dual_bound = sign *. dual_sign;
@@ -747,9 +655,8 @@ let solve_with_stats ?(params = default_params) model0 =
       if Budget.is_unlimited params.budget then params.lp_params
       else { params.lp_params with Simplex.budget = params.budget }
     in
-    let jobs = max 1 params.jobs in
     let incumbent, budget_hit, search =
-      tree_search ~params ~sign ~int_vars ~lp_params ~jobs model
+      tree_search ~params ~sign ~int_vars ~lp_params model
     in
     let stats = { search with presolve = reductions } in
     accumulate stats;

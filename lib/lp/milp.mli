@@ -55,22 +55,10 @@ type params = {
           [lp_params.budget] when not unlimited). On expiry the search
           stops and returns the best incumbent found so far. Default
           {!Agingfp_util.Budget.unlimited}. *)
-  jobs : int;
-      (** Domains pumping the shared node tree. [1] (the default) runs
-          the identical search on the calling domain with no pool —
-          sequential solves stay deterministic and byte-identical to
-          what a 1-worker pool would produce. [jobs > 1] draws open
-          nodes from the shared {!Node_store} under the incumbent
-          mutex, each worker with its own warm solver state. The
-          parallel search returns the same status and — when run to
-          completion with [first_solution = false] — the same optimal
-          objective as the sequential one; node counts and which
-          optimal point is reported may differ. Values [< 1] are
-          treated as [1]. *)
   cuts : bool;
       (** Cutting-plane separation ({!Cuts}): Gomory mixed-integer
           cuts from the warm tableau plus lifted knapsack covers,
-          managed by a shared cut pool with activity aging. Rounds run
+          managed by a cut pool with activity aging. Rounds run
           at the root and at shallow tree nodes; every admitted cut is
           valid for the integer hull of the presolved model, so
           cuts-on and cuts-off searches agree on status and, with
@@ -129,7 +117,7 @@ type stats = {
           fault that cut it short. Aggregation keeps the most severe
           reason. *)
   cuts_separated : int;
-      (** cuts admitted to the pool (Gomory + cover, all workers) *)
+      (** cuts admitted to the pool (Gomory + cover) *)
   cuts_active : int;  (** pool cuts still active when the search ended *)
   cuts_aged_out : int;
       (** lifetime deactivations by the activity-aging machinery *)

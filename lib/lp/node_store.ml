@@ -10,8 +10,8 @@
      space) over every open and in-flight node, which is what turns an
      incumbent into a certified bounded-suboptimality result.
 
-   The store is a plain data structure: callers serialize access (the
-   search holds one mutex around every call). Two lazy-deletion heaps
+   The store is a plain data structure with at most one node in
+   flight: the one the search is expanding. Two lazy-deletion heaps
    index the same open set — one in LIFO order for diving, one in
    (bound, id) order for best-first — and every heap key ends with the
    node id, so traversal order is a pure function of the insertion
@@ -48,19 +48,17 @@ type t = {
   open_tbl : (int, node) Hashtbl.t;  (* queued, not yet taken *)
   dfs : int Heap.t;
   best : (float * int) Heap.t;
-  active : bool array;  (* per-worker: currently expanding a node *)
-  active_bound : float array;
+  mutable active_bound : float;  (* in-flight node's bound; [infinity] when none *)
   mutable last_expanded : int;  (* parent id of the most recent children *)
 }
 
-let create ~workers =
+let create () =
   {
     next_id = 0;
     open_tbl = Hashtbl.create 64;
     dfs = Heap.create cmp_dfs;
     best = Heap.create cmp_best;
-    active = Array.make (max 1 workers) false;
-    active_bound = Array.make (max 1 workers) infinity;
+    active_bound = infinity;
     last_expanded = -1;
   }
 
@@ -73,10 +71,6 @@ let add t ~parent ~depth ~bound ~fixes ~branch =
   Heap.push t.best (bound, id);
   t.last_expanded <- parent;
   id
-
-let open_count t = Hashtbl.length t.open_tbl
-
-let active_count t = Array.fold_left (fun acc a -> if a then acc + 1 else acc) 0 t.active
 
 (* Skip heap entries whose node has already been taken through the
    other heap; stale tops are discarded permanently (a node never
@@ -101,28 +95,25 @@ let rec best_top t =
       ignore (Heap.pop t.best);
       best_top t)
 
-let claim t ~wid (n : node) =
+let claim t (n : node) =
   Hashtbl.remove t.open_tbl n.id;
-  t.active.(wid) <- true;
-  t.active_bound.(wid) <- n.bound;
+  t.active_bound <- n.bound;
   Some n
 
 (* Plunge while the dive is alive: prefer a child of the node whose
    children were pushed last (that is exactly the LIFO top when the
    dive continues). When the dive dies — the last expansion produced
    no surviving children — jump to the best dual bound. *)
-let take t ~wid =
+let take t =
   match dfs_top t with
-  | Some n when n.parent = t.last_expanded -> claim t ~wid n
-  | _ -> ( match best_top t with None -> None | Some n -> claim t ~wid n)
+  | Some n when n.parent = t.last_expanded -> claim t n
+  | _ -> ( match best_top t with None -> None | Some n -> claim t n)
 
-let finish t ~wid =
-  t.active.(wid) <- false;
-  t.active_bound.(wid) <- infinity
+let finish t = t.active_bound <- infinity
 
 (* Global dual bound in minimize-sign space: the minimum over open and
-   in-flight nodes. [infinity] once the tree is drained — every leaf
+   the in-flight node. [infinity] once the tree is drained — every leaf
    was closed, so the incumbent (if any) is proven optimal. *)
 let dual_bound t =
   let opened = match best_top t with None -> infinity | Some n -> n.bound in
-  Array.fold_left Float.min opened t.active_bound
+  Float.min opened t.active_bound

@@ -12,8 +12,7 @@
     Determinism: every heap key ends with the node id (assigned in
     creation order), so traversal is a pure function of the insertion
     sequence — independent of hash seeds ([OCAMLRUNPARAM=R]) and of
-    physical addresses. The store itself is not thread-safe; the
-    search serializes access under its incumbent mutex. *)
+    physical addresses. At most one node is in flight at a time. *)
 
 type dir = Down | Up
 
@@ -40,9 +39,8 @@ type node = {
 
 type t
 
-val create : workers:int -> t
-(** A store tracking in-flight nodes for [workers] concurrent
-    consumers (worker ids [0 .. workers-1]). *)
+val create : unit -> t
+(** An empty store. *)
 
 val add :
   t ->
@@ -55,27 +53,23 @@ val add :
 (** Enqueue a node; returns its id (creation order, the deterministic
     tie-break key). *)
 
-val take : t -> wid:int -> node option
-(** Pop the next node and mark it in-flight for worker [wid]: the
-    newest node while it is a child of the most recently expanded one
-    (the dive goes on), otherwise the lowest dual bound (ties: oldest
-    node) — depth first's quick incumbents with best first's bound
-    growth. Its bound keeps anchoring {!dual_bound} until {!finish}.
-    [None] when the open set is empty — in-flight nodes of
-    other workers may still produce children. *)
+val take : t -> node option
+(** Pop the next node and mark it in flight: the newest node while
+    it is a child of the most recently expanded one (the dive goes
+    on), otherwise the lowest dual bound (ties: oldest node) — depth
+    first's quick incumbents with best first's bound growth. Its
+    bound keeps anchoring {!dual_bound} until {!finish}. [None] when
+    the open set is empty. *)
 
-val finish : t -> wid:int -> unit
-(** Close worker [wid]'s in-flight node: it was solved and either
-    pruned, integral, infeasible, or its children were {!add}ed. Not
-    calling this (search aborted mid-node) conservatively keeps the
+val finish : t -> unit
+(** Close the in-flight node: it was solved and either pruned,
+    integral, infeasible, or its children were {!add}ed. Not calling
+    this (search aborted mid-node) conservatively keeps the
     node's bound in {!dual_bound}. *)
-
-val open_count : t -> int
-val active_count : t -> int
 
 val dual_bound : t -> float
 (** Global dual bound in minimize-sign space: the minimum over every
-    open and in-flight node. [infinity] when the tree is drained (the
-    incumbent, if any, is proven optimal). Monotone non-decreasing
+    open node and the in-flight one. [infinity] when the tree is
+    drained (the incumbent, if any, is proven optimal). Monotone non-decreasing
     over a run: children inherit their parent's relaxation objective,
     which is never below the parent's own bound. *)

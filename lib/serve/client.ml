@@ -1,4 +1,4 @@
-(* Loopback HTTP client for tests and `bench serve`.
+(* Loopback HTTP client for tests and the serve-deadline benchmark.
 
    Deliberately small: one request per connection ([Connection:
    close]), the response is read to EOF. The [slow_write_delay_s]

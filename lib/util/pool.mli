@@ -44,7 +44,7 @@ val create : domains:int -> t
 
 val get : ?clamp:bool -> int -> t
 (** [get domains] is a process-global memoized pool — the "spawn once,
-    reuse everywhere" entry point used by [Milp.params.jobs] and the
+    reuse everywhere" entry point used by [Remap.params.jobs] and the
     suite driver. Pools obtained this way are shut down automatically
     at exit.
 
@@ -82,8 +82,8 @@ val map_budgeted :
 val run : t -> (unit -> unit) array -> unit
 (** [run pool bodies] executes every body concurrently and returns
     when all have finished — the building block for worker-loop
-    parallelism (parallel branch & bound runs one node-pump per
-    domain). Exception policy as {!map}. *)
+    parallelism (the serve daemon runs one request loop per domain).
+    Exception policy as {!map}. *)
 
 val request_stop : t -> unit
 (** Async-signal-safe stop request: a single atomic store, no locks,

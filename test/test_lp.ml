@@ -423,8 +423,8 @@ let test_kernel_counters () =
   | s -> Alcotest.failf "unexpected dense status %a" Simplex.pp_status s);
   let sd = Simplex.state_stats std in
   (* On an instance this small the sparse factors + eta file need not
-     undercut m² — the footprint win is asserted at scale by the
-     smoke-lp benchmark, not here. *)
+     undercut m²; test_presolve asserts that footprint win on its
+     pinned Eq.(3) instance. *)
   Alcotest.(check int) "dense footprint is the full inverse" (nrows * nrows)
     sd.Simplex.fill_in;
   Alcotest.(check bool) "dense kernel also counts factorizations" true

@@ -1,5 +1,5 @@
-(* Tests for the explicit branch & bound tree: the jobs x cuts x
-   heuristics matrix, the global dual bound and honest gaps, cut
+(* Tests for the explicit branch & bound tree: the cuts x heuristics
+   matrix, the global dual bound and honest gaps, cut
    separation and root heuristics, pseudocost branching, and the node
    store's deterministic plunge-then-jump order. *)
 
@@ -76,8 +76,8 @@ let structured_model () =
 
 (* ---------- search matrix ---------- *)
 
-(* Every jobs x cuts x heuristics combination lands on the same
-   optimum of the structured instance. *)
+(* Every cuts x heuristics combination lands on the same optimum of
+   the structured instance. *)
 let test_combination_matrix () =
   let m = structured_model () in
   let reference =
@@ -85,22 +85,18 @@ let test_combination_matrix () =
   in
   List.iter
     (fun (cuts, heuristics) ->
-      List.iter
-        (fun jobs ->
-          let params = { base_params with Milp.cuts; heuristics; jobs } in
-          let sol = get_feasible (Milp.solve ~params m) in
-          Alcotest.(check (float 1e-6))
-            (Printf.sprintf "cuts=%b/heuristics=%b/jobs=%d" cuts heuristics jobs)
-            reference sol.Simplex.objective)
-        [ 1; 2 ])
+      let params = { base_params with Milp.cuts; heuristics } in
+      let sol = get_feasible (Milp.solve ~params m) in
+      Alcotest.(check (float 1e-6))
+        (Printf.sprintf "cuts=%b/heuristics=%b" cuts heuristics)
+        reference sol.Simplex.objective)
     [ (true, true); (true, false); (false, true); (false, false) ]
 
-(* jobs = 1 must be the sequential search itself, bit for bit. *)
-let test_jobs1_identical_to_sequential () =
+(* Two runs of the same search agree bit for bit: the point, the node
+   count and the dual bound. *)
+let test_run_to_run_deterministic () =
   let m = structured_model () in
-  let solve () =
-    Milp.solve_with_stats ~params:{ base_params with Milp.jobs = 1 } m
-  in
+  let solve () = Milp.solve_with_stats ~params:base_params m in
   let r1, s1 = solve () in
   let r2, s2 = solve () in
   let a = get_feasible r1 and b = get_feasible r2 in
@@ -321,54 +317,54 @@ let test_cuts_reduce_work () =
    once that dive dies, jumps to the best open bound rather than to the
    newest node. *)
 let test_node_store_order () =
-  let t = Node_store.create ~workers:1 in
+  let t = Node_store.create () in
   let add ~parent bound =
     ignore (Node_store.add t ~parent ~depth:0 ~bound ~fixes:[] ~branch:None)
   in
   let take () =
-    match Node_store.take t ~wid:0 with
+    match Node_store.take t with
     | Some n -> n.Node_store.id
     | None -> Alcotest.fail "empty store"
   in
   add ~parent:(-1) neg_infinity;
   let root = take () in
   List.iter (add ~parent:root) [ 1.0; 2.0; 3.0 ];
-  Node_store.finish t ~wid:0;
+  Node_store.finish t;
   let dive = take () in
   add ~parent:dive 5.0;
-  Node_store.finish t ~wid:0;
+  Node_store.finish t;
   let rest =
     List.init 3 (fun _ ->
         let id = take () in
-        Node_store.finish t ~wid:0;
+        Node_store.finish t;
         id)
   in
   Alcotest.(check (list int)) "plunge, then best bound" [ 0; 3; 4; 1; 2 ]
     (root :: dive :: rest);
-  Alcotest.(check bool) "drained" true (Node_store.take t ~wid:0 = None)
+  Alcotest.(check bool) "drained" true (Node_store.take t = None)
 
 let test_node_store_dual_bound () =
-  let t = Node_store.create ~workers:1 in
+  let t = Node_store.create () in
   ignore
     (Node_store.add t ~parent:(-1) ~depth:0 ~bound:neg_infinity ~fixes:[] ~branch:None);
   Alcotest.(check (float 0.0)) "root bound" neg_infinity (Node_store.dual_bound t);
-  (match Node_store.take t ~wid:0 with
+  (match Node_store.take t with
   | Some n -> Alcotest.(check int) "root popped" 0 n.Node_store.id
   | None -> Alcotest.fail "empty store");
   (* In flight: the root's bound still anchors the dual bound. *)
   Alcotest.(check (float 0.0)) "in-flight bound" neg_infinity (Node_store.dual_bound t);
   ignore (Node_store.add t ~parent:0 ~depth:1 ~bound:5.0 ~fixes:[] ~branch:None);
   ignore (Node_store.add t ~parent:0 ~depth:1 ~bound:7.0 ~fixes:[] ~branch:None);
-  Node_store.finish t ~wid:0;
+  Node_store.finish t;
   Alcotest.(check (float 0.0)) "frontier min" 5.0 (Node_store.dual_bound t);
   (* The dive takes the newest child; the open one still bounds. *)
-  (match Node_store.take t ~wid:0 with
+  (match Node_store.take t with
   | Some n -> Alcotest.(check (float 0.0)) "newest child" 7.0 n.Node_store.bound
   | None -> Alcotest.fail "empty store");
   Alcotest.(check (float 0.0)) "open min" 5.0 (Node_store.dual_bound t);
-  Node_store.finish t ~wid:0;
-  (match Node_store.take t ~wid:0 with
-  | Some _ -> Node_store.finish t ~wid:0
+  Node_store.finish t;
+  (match Node_store.take t with
+  | Some _ -> Node_store.finish t
   | None -> Alcotest.fail "empty store");
   Alcotest.(check (float 0.0)) "drained" infinity (Node_store.dual_bound t)
 
@@ -393,8 +389,8 @@ let () =
       ( "tree",
         [
           Alcotest.test_case "combination matrix" `Quick test_combination_matrix;
-          Alcotest.test_case "jobs=1 deterministic" `Quick
-            test_jobs1_identical_to_sequential;
+          Alcotest.test_case "run-to-run deterministic" `Quick
+            test_run_to_run_deterministic;
           Alcotest.test_case "proof closes gap" `Quick test_proof_closes_gap;
           Alcotest.test_case "node-limit gap honest" `Quick test_node_limit_gap_honest;
         ] );

@@ -1,16 +1,11 @@
 (* Tests for the domain-parallel solve layer: the work-sharing pool,
-   per-task Rng streams, parallel branch & bound agreeing with the
-   sequential search, and parallel per-context remap passing the same
-   audit gate as the sequential pipeline. *)
+   per-task Rng streams, and parallel per-context remap passing the
+   same audit gate as the sequential pipeline. *)
 
 open Agingfp_cgrra
 module Pool = Agingfp_util.Pool
 module Budget = Agingfp_util.Budget
 module Rng = Agingfp_util.Rng
-module Expr = Agingfp_lp.Expr
-module Model = Agingfp_lp.Model
-module Simplex = Agingfp_lp.Simplex
-module Milp = Agingfp_lp.Milp
 module Placer = Agingfp_place.Placer
 module Rotation = Agingfp_floorplan.Rotation
 module Remap = Agingfp_floorplan.Remap
@@ -139,71 +134,6 @@ let test_rng_split_n_deterministic () =
   let par = Pool.map pool4 (fun g -> Rng.int g 1_000_000) gens in
   Alcotest.(check (array int)) "pool draws match sequential draws" seq par
 
-(* ---------- parallel branch & bound ---------- *)
-
-let random_ilp seed =
-  let rng = Rng.create seed in
-  let nvars = 3 + Rng.int rng 5 in
-  let ncons = 1 + Rng.int rng 4 in
-  let m = Model.create () in
-  let vars = Array.init nvars (fun _ -> Model.add_binary m) in
-  for _ = 1 to ncons do
-    let lhs =
-      Expr.sum
-        (List.init nvars (fun v ->
-             Expr.var ~coef:(float_of_int (Rng.int rng 7 - 3)) vars.(v)))
-    in
-    let rhs = float_of_int (Rng.int rng 8 - 2) in
-    let rel = if Rng.int rng 3 = 0 then Model.Ge else Model.Le in
-    ignore (Model.add_constraint m lhs rel rhs)
-  done;
-  Model.set_objective m Model.Maximize
-    (Expr.sum
-       (List.init nvars (fun v ->
-            Expr.var ~coef:(float_of_int (Rng.int rng 11 - 5)) vars.(v))));
-  m
-
-let prop_parallel_milp_agrees =
-  (* With [first_solution = false] both searches prove optimality, so
-     status and objective must coincide; node order and the reported
-     optimal point may not. *)
-  QCheck2.Test.make ~name:"parallel B&B matches sequential status and objective"
-    ~count:120 QCheck2.Gen.int (fun seed ->
-      let seq_params = { Milp.default_params with first_solution = false } in
-      let par_params = { seq_params with Milp.jobs = 4 } in
-      let m = random_ilp seed in
-      match (Milp.solve ~params:seq_params m, Milp.solve ~params:par_params (random_ilp seed)) with
-      | Milp.Feasible a, Milp.Feasible b ->
-        abs_float (a.Simplex.objective -. b.Simplex.objective) < 1e-6
-        && Model.check_feasible m (fun v -> b.Simplex.values.(v)) = Ok ()
-        && List.for_all
-             (fun v ->
-               let x = b.Simplex.values.(v) in
-               x = Float.round x)
-             (Model.integer_vars m)
-      | Milp.Infeasible, Milp.Infeasible -> true
-      | _ -> false)
-
-let test_parallel_milp_first_solution () =
-  (* first_solution + parallel must still return some feasible point. *)
-  let m = random_ilp 1234 in
-  let params = { Milp.default_params with Milp.jobs = 4 } in
-  match Milp.solve ~params m with
-  | Milp.Feasible sol ->
-    Alcotest.(check bool) "feasible in original model" true
-      (Model.check_feasible m (fun v -> sol.Simplex.values.(v)) = Ok ())
-  | Milp.Infeasible -> ()
-  | Milp.Unknown -> Alcotest.fail "unexpected Unknown with unlimited budget"
-
-let test_parallel_milp_node_limit () =
-  (* The shared node counter must respect the limit and report it. *)
-  let m = random_ilp 99 in
-  let params =
-    { Milp.default_params with Milp.jobs = 4; first_solution = false; node_limit = 1 }
-  in
-  let _, stats = Milp.solve_with_stats ~params m in
-  Alcotest.(check bool) "at most node_limit + jobs nodes" true (stats.Milp.nodes <= 5)
-
 (* ---------- parallel remap ---------- *)
 
 let bench_placed name =
@@ -248,12 +178,6 @@ let () =
         ] );
       ( "rng",
         [ Alcotest.test_case "split_n determinism" `Quick test_rng_split_n_deterministic ] );
-      ( "milp",
-        [
-          QCheck_alcotest.to_alcotest prop_parallel_milp_agrees;
-          Alcotest.test_case "first solution" `Quick test_parallel_milp_first_solution;
-          Alcotest.test_case "node limit" `Quick test_parallel_milp_node_limit;
-        ] );
       ( "remap",
         [
           Alcotest.test_case "tiny rotate" `Quick test_parallel_remap_tiny;

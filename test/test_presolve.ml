@@ -2,7 +2,8 @@
    handcrafted models, a planted-witness soundness property (every
    rule must preserve the full integer feasible set, so a model built
    around a known integer point can never presolve to infeasibility),
-   and the pinned Eq.(3)-shaped reduction guard run by @ci. *)
+   and the pinned Eq.(3)-shaped guards run by @ci: presolve reductions
+   and the sparse LU kernel's footprint. *)
 
 module Expr = Agingfp_lp.Expr
 module Model = Agingfp_lp.Model
@@ -447,6 +448,22 @@ let test_ci_guard_eq3_reductions () =
     | v -> Alcotest.failf "pinned instance rejected: %a" Certify.pp_verdict v)
   | _ -> Alcotest.fail "pinned Eq.(3) instance must be feasible"
 
+(* The sparse LU kernel's reason to exist: on the Eq.(3) structure its
+   factors plus eta file stay far below the dense kernel's m² explicit
+   inverse at the end of the same LP solve. *)
+let test_eq3_sparse_footprint () =
+  let m = eq3_pinned_model () in
+  let nrows = Model.num_constraints m in
+  let fill_after_solve kernel =
+    let st = Simplex.assemble ~params:{ Simplex.default_params with Simplex.kernel } m in
+    ignore (get_optimal (Simplex.solve_state st));
+    (Simplex.state_stats st).Simplex.fill_in
+  in
+  let dense = fill_after_solve Basis.Dense and sparse = fill_after_solve Basis.Sparse_lu in
+  Alcotest.(check int) "dense footprint is m²" (nrows * nrows) dense;
+  if sparse >= dense then
+    Alcotest.failf "sparse LU fill %d not below dense m² = %d" sparse dense
+
 let test_postsolve_identity_on_no_reduction () =
   (* A model presolve cannot touch: dense, all bounds active, no
      singletons. Postsolve must then be the identity embedding. *)
@@ -492,5 +509,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_milp_presolve_equivalence;
         ] );
       ( "ci-guard",
-        [ Alcotest.test_case "pinned Eq.(3) reductions" `Quick test_ci_guard_eq3_reductions ] );
+        [
+          Alcotest.test_case "pinned Eq.(3) reductions" `Quick test_ci_guard_eq3_reductions;
+          Alcotest.test_case "pinned Eq.(3) sparse LU footprint" `Quick
+            test_eq3_sparse_footprint;
+        ] );
     ]
