@@ -29,8 +29,9 @@ module Json = Agingfp_lintcode.Json
 module Pool = Agingfp_util.Pool
 module Budget = Agingfp_util.Budget
 
-(* [Logs.format_reporter] is not serialized; with [--jobs > 1] pool
-   tasks log concurrently and interleave mid-line without this. *)
+(* [Logs.format_reporter] is not serialized; pool tasks (a remap's
+   Freeze and Rotate runs, [suite --jobs] benchmarks) log concurrently
+   and interleave mid-line without this. *)
 let mutex_reporter inner =
   let m = Mutex.create () in
   {
@@ -155,13 +156,10 @@ let solver_stats_table () =
       row "B&B nodes" s.Milp.nodes;
       (* A gap is only meaningful once a tree search actually ran. *)
       frow "optimality gap (worst)" (if s.Milp.nodes = 0 then nan else s.Milp.gap);
-      frow "dual bound (last solve)" s.Milp.dual_bound;
       row "cuts separated" s.Milp.cuts_separated;
       row "cuts active" s.Milp.cuts_active;
       row "cuts aged out" s.Milp.cuts_aged_out;
       row "heuristic incumbents" s.Milp.heuristic_incumbents;
-      (* nan whenever no root separation phase ran — rendered "-". *)
-      frow "root gap closed" s.Milp.root_gap_closed;
       row "warm LP solves" s.Milp.warm_solves;
       row "cold LP solves" s.Milp.cold_solves;
       row "warm fallbacks" s.Milp.warm_fallbacks;
@@ -199,7 +197,7 @@ let solver_stats_table () =
          p.Agingfp_lp.Presolve.per_rule)
 
 let cmd_remap benchmark source dim mode_s quiet design_file save_design save_floorplan
-    techmap stats certify deadline inject_faults jobs =
+    techmap stats certify deadline inject_faults =
   let fault_spec =
     match inject_faults with
     | None -> Ok Faults.none
@@ -222,14 +220,7 @@ let cmd_remap benchmark source dim mode_s quiet design_file save_design save_flo
     let baseline = Placer.aging_unaware design in
     Milp.reset_cumulative ();
     Remap.reset_certification ();
-    let params =
-      {
-        Remap.default_params with
-        Remap.certify;
-        deadline_s = deadline;
-        jobs = resolve_jobs jobs;
-      }
-    in
+    let params = { Remap.default_params with Remap.certify; deadline_s = deadline } in
     set_diag "remap";
     let r, fired =
       Faults.with_spec fault_spec (fun () ->
@@ -304,10 +295,11 @@ let cmd_remap benchmark source dim mode_s quiet design_file save_design save_flo
     if cert_failed || not (Audit.ok r.Remap.audit) then 1 else 0
 
 (* Table-I sweep. Benchmarks are independent solves, so with
-   [--jobs > 1] they fan out over a domain pool; each task solves
-   sequentially (inner jobs = 1) — one level of parallelism saturates
-   the machine without oversubscribing it. Results are collected in
-   input order, so the report is identical at any job count. *)
+   [--jobs > 1] they fan out over a domain pool. Each benchmark's
+   [solve_both] also submits its two modes to [Pool.get 2]; a waiting
+   submitter runs only its own batch, so a busy pool simply runs the
+   modes in order. Results are collected in input order, so the report
+   is identical at any job count. *)
 let cmd_suite jobs quick deadline =
   let jobs = resolve_jobs jobs in
   let specs =
@@ -655,7 +647,7 @@ let jobs_arg =
   Arg.(
     value & opt int 1
     & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:"Domains used by the solver's parallel layer (1 = sequential, 0 = one \
+        ~doc:"Domains the Table-I benchmarks fan out over (1 = sequential, 0 = one \
               per core).")
 
 let verbose_arg =
@@ -731,12 +723,12 @@ let remap_cmd =
   Cmd.v (Cmd.info "remap" ~doc:"Run the aging-aware re-mapping flow (Algorithm 1)")
     Term.(
       const
-        (fun verbose b s d m q df sd sf tm stats certify deadline faults jobs ->
+        (fun verbose b s d m q df sd sf tm stats certify deadline faults ->
           with_logs verbose (fun () ->
-              cmd_remap b s d m q df sd sf tm stats certify deadline faults jobs))
+              cmd_remap b s d m q df sd sf tm stats certify deadline faults))
       $ verbose_arg $ benchmark_arg $ source_arg $ dim_arg $ mode_arg $ quiet_arg
       $ design_file_arg $ save_design_arg $ save_floorplan_arg $ techmap_arg $ stats_arg
-      $ certify_arg $ deadline_arg $ inject_faults_arg $ jobs_arg)
+      $ certify_arg $ deadline_arg $ inject_faults_arg)
 
 let quick_arg =
   Arg.(

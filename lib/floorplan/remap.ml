@@ -31,7 +31,6 @@ type params = {
   refine_params : Refine.params;
   certify : bool;
   deadline_s : float option;
-  jobs : int;
 }
 
 let default_params =
@@ -51,7 +50,6 @@ let default_params =
     refine_params = Refine.default_params;
     certify = false;
     deadline_s = None;
-    jobs = 1;
   }
 
 (* ---------- degradation ladder ---------- *)
@@ -106,7 +104,8 @@ type certification_stats = {
 let no_certification =
   { lp_checked = 0; milp_checked = 0; rejected = 0; failures = [] }
 
-(* Certification tallies are fed from pool tasks when [jobs > 1]. *)
+(* Certification tallies are fed from [solve_both]'s two modes at
+   once. *)
 let cert = ref no_certification
 let cert_mutex = Mutex.create ()
 
@@ -671,117 +670,8 @@ let attempt ?cache ?(budget = Budget.unlimited) ?(machinery = Full_milp)
         order;
       if !failed < 0 then Ok !current else Error !failed
     in
-    (* Parallel variant: solve every context speculatively against the
-       phase-start committed loads (each task owns a fresh cache,
-       committed copy and note collector — nothing warm crosses a
-       domain), then commit sequentially in pass order, re-validating
-       each speculative assignment against the stress actually
-       committed by earlier contexts. Path budgets need no re-check:
-       a context's monitored paths depend only on its own assignment.
-       A speculative result that no longer fits falls back to the
-       ordinary sequential solve for that context, so the parallel
-       pass is never less capable than the sequential one. *)
-    let jobs = max 1 params.jobs in
-    let pass_parallel order =
-      let n_ctx = Array.length order in
-      let pool = Pool.get jobs in
-      (* Wave arithmetic must use the pool's effective size — [get]
-         clamps oversubscribed requests to the core count. *)
-      let eff = Pool.size pool in
-      let waves = max 1 ((n_ctx + eff - 1) / eff) in
-      (* Per-task budget slice: with [eff] domains the batch runs in
-         about [waves] sequential waves, so each task may fairly spend
-         that fraction of the remaining time. *)
-      let task_budget =
-        if Budget.is_unlimited budget then budget
-        else Budget.slice budget ~fraction:(1.0 /. float_of_int waves)
-      in
-      let speculative =
-        Pool.map_budgeted pool ~budget
-          (fun ctx ->
-            let notes = ref [] in
-            let note_local reason detail = notes := (reason, detail) :: !notes in
-            let stats = ref [] in
-            let stats_local ~milp s = stats := (milp, s) :: !stats in
-            let committed_spec = Array.copy committed in
-            let cache_spec = new_cache () in
-            let r =
-              solve_context params design baseline ~candidates ~monitored ~st_target
-                ~committed:committed_spec ~cache:cache_spec ~budget:task_budget
-                ~machinery ~note:note_local ~stats_note:stats_local ctx baseline
-            in
-            ( Option.map (fun m -> Mapping.context_array m ctx) r,
-              List.rev !notes,
-              List.rev !stats ))
-          order
-      in
-      (* Solver-work accounting is unconditional — every speculative
-         task burned its nodes and pivots whether or not its result is
-         committed below — so the stats replay covers all completed
-         tasks up front; the qualitative [note]s replay only for
-         contexts the commit loop actually reaches. *)
-      Array.iter
-        (function
-          | Some (_, _, stats) -> List.iter (fun (m, s) -> stats_note ~milp:m s) stats
-          | None -> ())
-        speculative;
-      let committed' = Array.copy committed in
-      let current = ref baseline in
-      let failed = ref (-1) in
-      Array.iteri
-        (fun i ctx ->
-          if !failed < 0 then begin
-            if Budget.expired budget then failed := ctx
-            else begin
-              let fallback () =
-                match
-                  solve_context params design baseline ~candidates ~monitored ~st_target
-                    ~committed:committed' ~cache ~budget ~machinery ~note ~stats_note ctx
-                    !current
-                with
-                | Some mapping -> current := mapping
-                | None -> failed := ctx
-              in
-              match speculative.(i) with
-              | None -> fallback ()
-              | Some (spec, notes, _) -> (
-                List.iter (fun (r, d) -> note r d) notes;
-                match spec with
-                | None -> fallback ()
-                | Some assignment ->
-                  let dfg = Design.context design ctx in
-                  let add = Array.make (Array.length committed') 0.0 in
-                  for op = 0 to Dfg.num_ops dfg - 1 do
-                    if not (Candidates.is_frozen candidates ~ctx ~op) then begin
-                      let pe = assignment.(op) in
-                      add.(pe) <- add.(pe) +. Stress.op_stress design ~ctx ~op
-                    end
-                  done;
-                  let fits = ref true in
-                  Array.iteri
-                    (fun pe extra ->
-                      if extra > 0.0 && committed'.(pe) +. extra > st_target +. 1e-9 then
-                        fits := false)
-                    add;
-                  if not !fits then fallback ()
-                  else begin
-                    Array.iteri
-                      (fun pe extra -> committed'.(pe) <- committed'.(pe) +. extra)
-                      add;
-                    let arrays =
-                      Array.init (Design.num_contexts design) (fun c ->
-                          if c = ctx then assignment else Mapping.context_array !current c)
-                    in
-                    current := Mapping.of_arrays arrays
-                  end)
-            end
-          end)
-        order;
-      if !failed < 0 then Ok !current else Error !failed
-    in
-    let do_pass = if jobs > 1 then pass_parallel else pass in
     let rec retry order tries =
-      match do_pass order with
+      match pass order with
       | Ok mapping -> Some mapping
       | Error failed ->
         if tries = 0 || Budget.expired budget then None
@@ -908,8 +798,7 @@ let solve_with_plan ?cache params design baseline ~budget ~baseline_cpd ~st_up ~
   let trail = ref [] in
   (* Per-rung solver-work accounting and the bound/gap evidence of the
      branch & bound runs. Every LP relaxation and every B&B inside the
-     ladder reports its stats delta here (parallel paths collect
-     locally and replay on this domain), so per-rung sums match the
+     ladder reports its stats delta here, so per-rung sums match the
      process-wide {!Milp.cumulative} deltas of the ladder — Step 1 and
      concurrent unrelated solves excluded. [gap]/[dual_bound] only
      listen to real B&B runs ([milp:true]): a bare LP relaxation
@@ -957,9 +846,8 @@ let solve_with_plan ?cache params design baseline ~budget ~baseline_cpd ~st_up ~
      survive. *)
   let run_rung machinery rbudget =
     let note reason detail = note_step machinery reason detail in
-    let jobs = max 1 params.jobs in
-    (* Accept-or-relax check shared by both ladder shapes: a candidate
-       floorplan wins only if it validates and keeps the CPD. *)
+    (* A candidate floorplan wins only if it validates and keeps the
+       CPD. *)
     let acceptable mapping =
       match Mapping.validate design mapping with
       | Error msg ->
@@ -978,83 +866,6 @@ let solve_with_plan ?cache params design baseline ~budget ~baseline_cpd ~st_up ~
     let rec loop st iter =
       if iter > params.max_outer then Error Budget.Optimal
       else if Budget.expired rbudget then Error (Budget.status rbudget)
-      else if jobs > 1 then begin
-        (* Δ-window fan-out: the next [window] ST_target attempts are
-           independent by construction (each is a fresh build at its
-           own ST), so evaluate them concurrently and keep the
-           lowest-ST acceptable floorplan — the same floorplan the
-           sequential ladder would have accepted first. Each task gets
-           a fresh cache (warm simplex states are domain-local) and a
-           local note collector replayed in ST order afterwards. *)
-        (* Speculative ST attempts beyond the pool's effective
-           parallelism only burn budget serially; size the window to
-           what actually runs concurrently. *)
-        let window =
-          min (Pool.effective_jobs jobs) (params.max_outer - iter + 1)
-        in
-        let sts = Array.init window (fun i -> st +. (float_of_int i *. delta)) in
-        Log.debug (fun k ->
-            k "%s: [%a] attempts %d..%d with ST_target %.3f..%.3f (up %.3f)"
-              (Design.name design) pp_rung machinery iter
-              (iter + window - 1)
-              sts.(0)
-              sts.(window - 1)
-              st_up);
-        let pool = Pool.get jobs in
-        let outcomes =
-          Pool.map_budgeted pool ~budget:rbudget
-            (fun st_i ->
-              let notes = ref [] in
-              let cut = ref Budget.Optimal in
-              let note_cut reason detail =
-                cut := Budget.worst !cut reason;
-                notes := (reason, detail) :: !notes
-              in
-              let stats = ref [] in
-              let stats_local ~milp s = stats := (milp, s) :: !stats in
-              let r =
-                attempt ~cache:(new_cache ()) ~budget:rbudget ~machinery ~note:note_cut
-                  ~stats_note:stats_local params design reference ~candidates ~monitored
-                  ~frozen ~st_target:st_i
-              in
-              (r, !cut, List.rev !notes, List.rev !stats))
-            sts
-        in
-        Array.iter
-          (function
-            | None -> ()
-            | Some (_, _, notes, stats) ->
-              List.iter (fun (m, s) -> observe_stats machinery ~milp:m s) stats;
-              List.iter (fun (r, d) -> note r d) notes)
-          outcomes;
-        let rec pick i =
-          if i >= window then None
-          else
-            match outcomes.(i) with
-            | Some (Some mapping, _, _, _) -> (
-              match acceptable mapping with
-              | Some new_cpd -> Some (mapping, sts.(i), iter + i, new_cpd)
-              | None -> pick (i + 1))
-            | _ -> pick (i + 1)
-        in
-        match pick 0 with
-        | Some success -> Ok success
-        | None -> (
-          let fault =
-            Array.fold_left
-              (fun acc o ->
-                match (acc, o) with
-                | None, Some (_, (Budget.Fault _ as f), _, _) -> Some f
-                | acc, _ -> acc)
-              None outcomes
-          in
-          match fault with
-          | Some f ->
-            (* The machinery of this rung is actively misbehaving;
-               descending beats hammering it for max_outer attempts. *)
-            Error f
-          | None -> loop (st +. (float_of_int window *. delta)) (iter + window))
-      end
       else begin
         Log.debug (fun k ->
             k "%s: [%a] attempt %d with ST_target = %.3f (up %.3f)" (Design.name design)
@@ -1240,15 +1051,25 @@ let solve_both ?warm ?(params = default_params) design baseline =
       ~budget:(Budget.slice budget ~fraction:step1_fraction)
       design baseline
   in
-  let frozen_res =
-    run_mode ?warm params design baseline
-      ~budget:(Budget.slice budget ~fraction:0.5)
-      ~baseline_cpd ~st_up ~lb Rotation.Freeze
+  (* The two modes share nothing but Step 1's bound, so they run as
+     one two-task batch: concurrently when a second domain is free,
+     otherwise one after the other on this domain, Freeze first. Both
+     slices are cut now, so the budgets do not depend on the order:
+     Freeze keeps half of what is left, as when it ran first, and
+     Rotate may use all of it. Each mode owns its own solver cache and
+     every run is deterministic, so the pair is the same either way. *)
+  let modes =
+    [|
+      (Rotation.Freeze, Budget.slice budget ~fraction:0.5); (Rotation.Rotate, budget);
+    |]
   in
-  let rotated =
-    run_mode ?warm params design baseline ~budget ~baseline_cpd ~st_up ~lb
-      Rotation.Rotate
+  let results =
+    Pool.map (Pool.get 2)
+      (fun (m, budget) ->
+        run_mode ?warm params design baseline ~budget ~baseline_cpd ~st_up ~lb m)
+      modes
   in
+  let frozen_res = results.(0) and rotated = results.(1) in
   (* The complete method: rotation widens the search space, but a
      particular re-orientation can still lose to the identity
      orientation; keep whichever floorplan levels stress further

@@ -58,19 +58,6 @@ type params = {
           {!solve} never hangs past the deadline by more than one
           cooperative checkpoint interval. [None] (default) reproduces
           the unbounded behaviour. *)
-  jobs : int;
-      (** Domains used inside one solve. [1] (the default) is the
-          classic sequential pipeline. [jobs > 1] parallelizes the two
-          independent fan-out points on a {!Agingfp_util.Pool}: the
-          Δ-relaxation ladder evaluates a window of ST_target attempts
-          concurrently and keeps the lowest acceptable one, and the
-          per-context strategy solves every context's ILP
-          speculatively before a sequential validate-and-commit pass
-          (falling back to the sequential per-context solve whenever a
-          speculative assignment no longer fits the committed stress).
-          Results still pass the same {!Audit} gate; they may differ
-          from the sequential floorplan only in which equally-audited
-          mapping is found first. Values [< 1] are treated as [1]. *)
 }
 
 val default_params : params
@@ -136,8 +123,8 @@ type result = {
           reported, in the MILP's objective space; [nan] when none *)
   rung_stats : (rung * Agingfp_lp.Milp.stats) list;
       (** solver work per ladder rung attempted, in ladder order: every
-          LP relaxation and B&B inside a rung (including speculative
-          parallel tasks) accumulates into its entry, so summing
+          LP relaxation and B&B inside a rung accumulates into its
+          entry, so summing
           [nodes]/[lp_iterations] across entries reproduces the
           {!Agingfp_lp.Milp.cumulative} delta of the ladder (Step 1's
           bisection solves excluded — they run before the ladder) *)
@@ -202,4 +189,11 @@ val solve_both :
   ?warm:warm -> ?params:params -> Design.t -> Mapping.t -> result * result
 (** [(freeze, rotate)] sharing the Step-1 search and the freeze run —
     what Table I reports per benchmark, at roughly half the cost of
-    two independent {!solve} calls. *)
+    two independent {!solve} calls. After Step 1 the Freeze and Rotate
+    runs are one two-task batch on [Agingfp_util.Pool.get 2]: they run
+    concurrently when a second core is free, else in order (Freeze
+    first) on the calling domain. The pair is the same either way:
+    the Freeze result equals [solve ~mode:Freeze]'s when no deadline
+    is set. Under a deadline Freeze gets half of what Step 1 leaves
+    and Rotate all of it: run concurrently, Rotate may use the whole
+    remaining deadline; run in order, it gets what Freeze left. *)

@@ -71,7 +71,7 @@ type config = {
       (* budget-poll only fires on a self-recursive binding whose body
          has at least this many expression nodes: tiny structural
          helpers terminate by construction, the B&B / refinement /
-         Δ-window drivers do not. *)
+         Δ-relaxation drivers do not. *)
 }
 
 let default_config =
@@ -542,7 +542,7 @@ let lint_structure ?(config = default_config) ~file str =
       (* Pool closures mutating captured state. *)
       if
         qualified ~modules:[ "Pool" ]
-          ~names:[ "map"; "map_budgeted"; "run"; "submit" ]
+          ~names:[ "map"; "run"; "submit" ]
           txt
       then
         List.iter

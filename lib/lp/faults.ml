@@ -33,28 +33,37 @@ let no_fired =
 
 type injector = { spec : spec; rng : Rng.t; mutable counts : fired }
 
-(* Process-global; [armed] is the only thing the solver hot path reads
-   when injection is off. *)
+(* Process-global, and drawn from by every domain solving at once (a
+   remap's Freeze and Rotate runs): the stream and the counts are
+   guarded by [mutex]. [armed] is the only thing the solver hot path
+   reads when injection is off. *)
 let state : injector option ref = ref None
 let armed = ref false
+let mutex = Mutex.create ()
+
+let locked f =
+  Mutex.lock mutex;
+  Fun.protect ~finally:(fun () -> Mutex.unlock mutex) f
 
 let install spec =
-  if spec = none then begin
-    state := None;
-    armed := false
-  end
-  else begin
-    state := Some { spec; rng = Rng.create spec.seed; counts = no_fired };
-    armed := true
-  end
+  locked (fun () ->
+      if spec = none then begin
+        state := None;
+        armed := false
+      end
+      else begin
+        state := Some { spec; rng = Rng.create spec.seed; counts = no_fired };
+        armed := true
+      end)
 
 let clear () =
-  state := None;
-  armed := false
+  locked (fun () ->
+      state := None;
+      armed := false)
 
 let active () = !armed
 
-let fired () = match !state with Some i -> i.counts | None -> no_fired
+let fired () = locked (fun () -> match !state with Some i -> i.counts | None -> no_fired)
 
 let with_spec spec f =
   install spec;
@@ -62,44 +71,48 @@ let with_spec spec f =
 
 (* A Bernoulli draw only consumes randomness when the probability is
    positive, so enabling one fault class does not shift another
-   class's stream. *)
+   class's stream. Caller holds the mutex. *)
 let draw inj p = p > 0.0 && Rng.float inj.rng 1.0 < p
 
+(* [f] on the installed injector under the mutex; [off] when a racing
+   [clear] removed it. Callers test [armed] first. *)
+let with_injector ~off f =
+  locked (fun () -> match !state with Some inj -> f inj | None -> off)
+
+(* One draw for the fault class of probability [p]; [book] counts it
+   when it fires. *)
+let fires p book =
+  !armed
+  && with_injector ~off:false (fun inj ->
+         draw inj (p inj.spec)
+         &&
+         (inj.counts <- book inj.counts;
+          true))
+
 let checkpoint ~where =
-  if !armed then
-    match !state with
-    | Some inj when draw inj inj.spec.p_exception ->
-      inj.counts <- { inj.counts with exceptions = inj.counts.exceptions + 1 };
-      raise (Injected where)
-    | _ -> ()
+  if fires (fun s -> s.p_exception) (fun c -> { c with exceptions = c.exceptions + 1 })
+  then raise (Injected where)
 
 let spurious_iteration_limit () =
-  !armed
-  &&
-  match !state with
-  | Some inj when draw inj inj.spec.p_iteration_limit ->
-    inj.counts <- { inj.counts with iteration_limits = inj.counts.iteration_limits + 1 };
-    true
-  | _ -> false
+  fires
+    (fun s -> s.p_iteration_limit)
+    (fun c -> { c with iteration_limits = c.iteration_limits + 1 })
 
 let step_scale () =
   if not !armed then 1.0
   else
-    match !state with
-    | Some inj when draw inj inj.spec.p_perturb ->
-      inj.counts <- { inj.counts with perturbations = inj.counts.perturbations + 1 };
-      let mag = Rng.float inj.rng inj.spec.perturb_mag in
-      if Rng.bool inj.rng then 1.0 +. mag else 1.0 -. mag
-    | _ -> 1.0
+    with_injector ~off:1.0 (fun inj ->
+        if draw inj inj.spec.p_perturb then begin
+          inj.counts <- { inj.counts with perturbations = inj.counts.perturbations + 1 };
+          let mag = Rng.float inj.rng inj.spec.perturb_mag in
+          if Rng.bool inj.rng then 1.0 +. mag else 1.0 -. mag
+        end
+        else 1.0)
 
 let forge_infeasible () =
-  !armed
-  &&
-  match !state with
-  | Some inj when draw inj inj.spec.p_infeasible ->
-    inj.counts <- { inj.counts with infeasibilities = inj.counts.infeasibilities + 1 };
-    true
-  | _ -> false
+  fires
+    (fun s -> s.p_infeasible)
+    (fun c -> { c with infeasibilities = c.infeasibilities + 1 })
 
 (* ---------- CLI spec syntax ---------- *)
 

@@ -21,7 +21,10 @@
 
     The injector is process-global and off by default ({!clear}); the
     solver hot path pays one branch on a [bool ref] when no spec is
-    installed. Injection sites only fire at state-consistent
+    installed. A mutex serializes the draws and the {!fired} counts,
+    so domains that solve at once (a remap's Freeze and Rotate runs)
+    share one stream safely; the stream is then deterministic per seed
+    but which domain gets which draw is not. Injection sites only fire at state-consistent
     checkpoints (loop heads, solve exits), so a surviving solver
     state remains structurally valid — warm restarts after a fault
     are expected to work. *)

@@ -117,8 +117,11 @@ let pp_stats ppf s =
 
 (* Cumulative counters across all solves since the last reset — the
    remap pipeline runs many MILPs/LPs per floorplan, and the CLI
-   [--stats] flag and benches report the aggregate. Parallel remap
-   tasks accumulate from several domains, hence the mutex. *)
+   [--stats] flag and benches report the aggregate. A remap's Freeze
+   and Rotate runs accumulate from two domains at once, hence the
+   mutex. The aggregate keeps only what does not depend on the order
+   solves finish in: the per-model [dual_bound] and [root_gap_closed]
+   ("the most recent solve's") stay [nan] here. *)
 let cum = ref zero_stats
 let cum_mutex = Mutex.create ()
 
@@ -128,7 +131,9 @@ let with_cum f =
 
 let reset_cumulative () = with_cum (fun () -> cum := zero_stats)
 let cumulative () = with_cum (fun () -> !cum)
-let accumulate s = with_cum (fun () -> cum := add_stats !cum s)
+let accumulate s =
+  let s = { s with dual_bound = Float.nan; root_gap_closed = Float.nan } in
+  with_cum (fun () -> cum := add_stats !cum s)
 
 let note_lp_solve ?(warm_fallbacks = 0) ?(refactorizations = 0) ?(eta_updates = 0)
     ?(fill_in = 0) ?(drift_refreshes = 0) ~warm ~iterations () =

@@ -143,6 +143,11 @@ val reset_cumulative : unit -> unit
     them). *)
 
 val cumulative : unit -> stats
+(** The sum of every solve since the last {!reset_cumulative}. Its
+    [dual_bound] and [root_gap_closed] are always [nan]: they are
+    per-model values, and "the most recent solve's" would depend on
+    which of several concurrent solves finished last. Each result's
+    own stats carry them. *)
 
 val note_lp_solve :
   ?warm_fallbacks:int ->

@@ -41,7 +41,7 @@ type config = {
   max_dim : int;
   cache_capacity : int;
   limits : Http.limits;
-  remap_params : Remap.params;  (* deadline_s/jobs overridden per request *)
+  remap_params : Remap.params;  (* deadline_s overridden per request *)
 }
 
 let default_config =
@@ -417,7 +417,7 @@ let handle_remap t fd ~arrived ~queue_wait (req : Http.request) =
   let remaining = deadline -. Budget.elapsed_s arrived -. serve_margin deadline in
   let remaining = if Inject.collapse_deadline () then 0.001 else Float.max 0.001 remaining in
   let params =
-    { t.config.remap_params with Remap.deadline_s = Some remaining; jobs = 1 }
+    { t.config.remap_params with Remap.deadline_s = Some remaining }
   in
   Inject.worker_checkpoint ~where:"serve.worker";
   let watch = Budget.create () in

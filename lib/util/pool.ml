@@ -2,7 +2,9 @@
    pool; tasks are claimed under the lock but executed outside it, and
    the submitter helps execute its own batch, so nested submission
    cannot deadlock: a waiter only ever blocks on tasks that some other
-   thread is actively running. *)
+   thread is actively running. A submitter never runs another batch's
+   task: its wait is bounded by its own batch, not by whatever else
+   was queued on the pool. *)
 
 type batch = {
   tasks : (int -> unit) array; (* each records its own result by index *)
@@ -135,32 +137,24 @@ let submit t tasks =
       let claimed =
         locked t (fun () ->
             let rec wait () =
-              if b.completed = Array.length b.tasks then `Done
+              if b.completed = Array.length b.tasks then None
               else if b.next < Array.length b.tasks then begin
                 let i = b.next in
                 b.next <- i + 1;
-                `Task i
+                Some i
               end
               else begin
-                (* All claimed, some still running on other domains:
-                   help any OTHER live batch rather than idling (keeps
-                   nested submitters honest), else wait. *)
-                match try_claim t with
-                | Some (b', i) -> `Other (b', i)
-                | None ->
-                  Condition.wait t.settled t.mutex;
-                  wait ()
+                (* All claimed, some still running on other domains. *)
+                Condition.wait t.settled t.mutex;
+                wait ()
               end
             in
             wait ())
       in
       match claimed with
-      | `Done -> ()
-      | `Task i ->
+      | None -> ()
+      | Some i ->
         execute t b i;
-        help ()
-      | `Other (b', i) ->
-        execute t b' i;
         help ()
     in
     help ()
@@ -197,17 +191,6 @@ let map t f xs =
         | None -> Invariant.fail ~where:"Pool.map" "task settled without a result (run_indexed re-raises)")
       results
   end
-
-let map_budgeted t ~budget f xs =
-  let n = Array.length xs in
-  let results = Array.make n None in
-  if n > 0 then
-    run_indexed t n (fun i ->
-        (* Drain, don't start: an expired budget skips the task; tasks
-           already running poll the same budget at their own
-           checkpoints. *)
-        if not (Budget.expired budget) then results.(i) <- Some (f xs.(i)));
-  results
 
 let run t bodies = run_indexed t (Array.length bodies) (fun i -> bodies.(i) ())
 

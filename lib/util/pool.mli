@@ -1,11 +1,10 @@
 (** Fixed-size work-sharing domain pool.
 
-    The solver stack is embarrassingly parallel at three levels —
-    branch & bound subtrees, independent per-context ILPs, and the
-    Table-I benchmark sweep — and OCaml 5 domains are the unit of
-    hardware parallelism. Spawning a domain costs milliseconds, so a
-    pool is created once ({!create} or the memoizing {!get}) and
-    reused for every batch.
+    The flow is parallel at two levels — a design's Freeze and Rotate
+    runs ([Remap.solve_both]) and the Table-I benchmark sweep — and
+    OCaml 5 domains are the unit of hardware parallelism. Spawning a
+    domain costs milliseconds, so a pool is created once ({!create} or
+    the memoizing {!get}) and reused for every batch.
 
     Submission model: a batch of tasks is pushed to the pool and the
     {e submitting thread participates} in executing it (work sharing).
@@ -13,7 +12,10 @@
     worker may submit another batch to the same pool and will at worst
     execute that batch entirely by itself — and it means a pool of
     size 1 degenerates to plain sequential execution with no
-    synchronization surprises.
+    synchronization surprises. A submitter only ever runs tasks of its
+    own batch: once they are all claimed it waits for them, and never
+    picks up another batch's task, so how long [map] blocks depends on
+    its own batch alone.
 
     Contracts:
 
@@ -22,11 +24,6 @@
     - {e Exception capture}: a raising task does not poison the batch;
       every other task still runs, then the first exception (in input
       order) is re-raised with its original backtrace.
-    - {e Budget integration}: {!map_budgeted} checks the budget before
-      {e starting} each task; once the budget expires the remaining
-      tasks are drained unrun ([None]) and whatever completed is
-      returned best-effort. Running tasks are never interrupted — they
-      poll the same budget at their own checkpoints.
 
     Tasks must not share mutable solver state across domains
     (a {!Agingfp_lp.Simplex.state} belongs to one domain at a time);
@@ -44,7 +41,7 @@ val create : domains:int -> t
 
 val get : ?clamp:bool -> int -> t
 (** [get domains] is a process-global memoized pool — the "spawn once,
-    reuse everywhere" entry point used by [Remap.params.jobs] and the
+    reuse everywhere" entry point used by [Remap.solve_both] and the
     suite driver. Pools obtained this way are shut down automatically
     at exit.
 
@@ -58,8 +55,7 @@ val get : ?clamp:bool -> int -> t
 
 val effective_jobs : int -> int
 (** [effective_jobs jobs] is the domain count {!get} would actually
-    use: [jobs] clamped to [[1, default_jobs ()]]. Use it for wave
-    arithmetic that must match the pool's real parallelism. *)
+    use: [jobs] clamped to [[1, default_jobs ()]]. *)
 
 val size : t -> int
 (** Total domains (including the submitter) batches are spread over. *)
@@ -72,12 +68,6 @@ val map : t -> ('a -> 'b) -> 'a array -> 'b array
 (** [map pool f xs] applies [f] to every element concurrently;
     [(map pool f xs).(i)] is [f xs.(i)]. Re-raises the first (by
     index) captured exception after the whole batch has settled. *)
-
-val map_budgeted :
-  t -> budget:Budget.t -> ('a -> 'b) -> 'a array -> 'b option array
-(** Like {!map}, but each task start polls [budget]: tasks not yet
-    started when it expires are skipped and report [None]. Exceptions
-    from tasks that did run are still re-raised. *)
 
 val run : t -> (unit -> unit) array -> unit
 (** [run pool bodies] executes every body concurrently and returns

@@ -49,7 +49,7 @@ let pool_capture_hashtbl_positive () =
        {|
 let index pool xs =
   let seen = Hashtbl.create 16 in
-  let _ = Pool.map_budgeted pool (fun x -> Hashtbl.replace seen x true) xs in
+  let _ = Pool.map pool (fun x -> Hashtbl.replace seen x true) xs in
   seen
 |})
 

@@ -148,6 +148,27 @@ let test_injection_deterministic () =
   let a = run () and b = run () in
   Alcotest.(check bool) "same seed, same fault stream, same outcomes" true (a = b)
 
+(* Two domains draw at once, as a remap's Freeze and Rotate runs do:
+   at p = 1.0 every draw fires, so no count may be lost. *)
+let test_injection_across_domains () =
+  let n = 50_000 in
+  let spec = { Faults.none with seed; p_iteration_limit = 1.0; p_perturb = 1.0 } in
+  let fired =
+    Faults.with_spec spec (fun () ->
+        let draw () =
+          for _ = 1 to n do
+            ignore (Faults.spurious_iteration_limit ());
+            ignore (Faults.step_scale ())
+          done
+        in
+        let other = Domain.spawn draw in
+        draw ();
+        Domain.join other;
+        Faults.fired ())
+  in
+  Alcotest.(check int) "iteration limits" (2 * n) fired.Faults.iteration_limits;
+  Alcotest.(check int) "perturbations" (2 * n) fired.Faults.perturbations
+
 let test_mid_solve_fault_keeps_milp_incumbent () =
   (* Milp converts an escaped Injected into a Fault stop but must not
      lose an incumbent it already has. Force the fault late by arming
@@ -266,6 +287,8 @@ let () =
             test_perturbed_pivots_still_terminate;
           Alcotest.test_case "deterministic per seed" `Quick
             test_injection_deterministic;
+          Alcotest.test_case "draws safe across domains" `Quick
+            test_injection_across_domains;
           Alcotest.test_case "milp converts fault, keeps incumbent" `Quick
             test_mid_solve_fault_keeps_milp_incumbent;
         ] );

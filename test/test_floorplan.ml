@@ -396,6 +396,55 @@ let test_remap_rejects_invalid_baseline () =
        false
      with Invalid_argument _ -> true)
 
+(* [solve_both] runs its two modes as one pool batch; without a
+   deadline the Freeze half must be exactly [solve ~mode:Freeze]. *)
+let test_solve_both_freeze_matches_solve () =
+  List.iter
+    (fun name ->
+      let design, baseline = bench_placed name in
+      let fr, _ = Remap.solve_both design baseline in
+      let solo = Remap.solve ~mode:Rotation.Freeze design baseline in
+      Alcotest.(check bool) (name ^ " mapping") true
+        (Mapping.equal fr.Remap.mapping solo.Remap.mapping);
+      Alcotest.(check (float 0.0)) (name ^ " st_target") solo.Remap.st_target
+        fr.Remap.st_target;
+      Alcotest.(check int) (name ^ " outer iterations") solo.Remap.outer_iterations
+        fr.Remap.outer_iterations;
+      Alcotest.(check string) (name ^ " rung") (Remap.rung_to_string solo.Remap.rung)
+        (Remap.rung_to_string fr.Remap.rung))
+    [ "B5"; "B10" ]
+
+(* ---------- deadline honesty ---------- *)
+
+(* [Remap.solve ~mode:Rotate] (Step 1, then Freeze and Rotate) under a
+   0.6 s deadline, on a 16x16 design that closes at the root (B16), one
+   whose ladder the deadline cuts (B21) and a quick 8x8 one (B22). The
+   solve works to the deadline less its epilogue margin (5 %, 0.03 s)
+   and may then overrun it by at most one checkpoint interval: the time
+   between two budget polls plus the final audit. The slack allowed is
+   that margin plus a 20 ms checkpoint interval. Measured on a 2-core
+   host, with a second copy of the same runs competing for the cores,
+   the longest of 8 runs per design took 0.5706 s before [solve_both]
+   ran its modes concurrently and 0.5703 s after (B21; B16 and B22
+   finish in under 0.06 s): the overrun of the working deadline was
+   under 1 ms, so 20 ms leaves room for a loaded host. *)
+let test_rotate_deadline_honest () =
+  let deadline = 0.6 in
+  let margin = 0.03 and checkpoint = 0.02 in
+  List.iter
+    (fun name ->
+      let design, baseline = bench_placed name in
+      let params = { Remap.default_params with Remap.deadline_s = Some deadline } in
+      let wall = Agingfp_util.Budget.create () in
+      let r = Remap.solve ~params ~mode:Rotation.Rotate design baseline in
+      let elapsed = Agingfp_util.Budget.elapsed_s wall in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s took %.4f s against a %.1f s deadline" name elapsed deadline)
+        true
+        (elapsed <= deadline +. margin +. checkpoint);
+      Alcotest.(check bool) (name ^ " audit clean") true (Audit.ok r.Remap.audit))
+    [ "B16"; "B21"; "B22" ]
+
 (* ---------- naive strawman ---------- *)
 
 let test_naive_levels_but_valid () =
@@ -962,7 +1011,11 @@ let () =
           Alcotest.test_case "exact encoding" `Quick test_remap_exact_encoding;
           Alcotest.test_case "invalid baseline rejected" `Quick
             test_remap_rejects_invalid_baseline;
+          Alcotest.test_case "solve_both freeze = solve" `Quick
+            test_solve_both_freeze_matches_solve;
         ] );
+      ( "deadline",
+        [ Alcotest.test_case "rotate within 0.6 s" `Quick test_rotate_deadline_honest ] );
       ( "naive",
         [
           Alcotest.test_case "levels but valid" `Quick test_naive_levels_but_valid;

@@ -1,6 +1,7 @@
 (* Tests for the domain-parallel solve layer: the work-sharing pool,
-   per-task Rng streams, and parallel per-context remap passing the
-   same audit gate as the sequential pipeline. *)
+   per-task Rng streams, and [Remap.solve_both]'s concurrent Freeze
+   and Rotate runs, which return the same pair whether they ran at
+   once or in order. *)
 
 open Agingfp_cgrra
 module Pool = Agingfp_util.Pool
@@ -78,32 +79,57 @@ let test_pool_run_counter () =
   Pool.run pool4 (Array.init 32 (fun _ () -> Atomic.incr counter));
   Alcotest.(check int) "all bodies ran" 32 (Atomic.get counter)
 
-let test_pool_budget_drain () =
-  (* An already-expired budget starts nothing... *)
-  let expired = Budget.create ~deadline_s:0.0 () in
-  let r = Pool.map_budgeted pool4 ~budget:expired (fun i -> i) (Array.init 16 (fun i -> i)) in
-  Alcotest.(check bool) "nothing started" true (Array.for_all (( = ) None) r);
-  (* ...an unlimited one runs everything... *)
-  let r =
-    Pool.map_budgeted pool4 ~budget:Budget.unlimited (fun i -> i * 2)
-      (Array.init 16 (fun i -> i))
+(* A submitter whose own tasks are all claimed waits for them; it
+   never runs a task of another batch, which could keep it busy long
+   after its own batch settled. Batch A's second task blocks on a
+   worker while a third domain's batch B has an unclaimed task and a
+   nested batch C settles, waking every waiter. *)
+let test_pool_submitter_runs_own_batch () =
+  let p = Pool.create ~domains:2 in
+  let me = Domain.self () in
+  let worker_started = Atomic.make false in
+  let mine_done = Atomic.make false in
+  let release = Atomic.make false in
+  let b1_runner = Atomic.make None in
+  let rec wait_for flag =
+    if not (Atomic.get flag) then begin
+      Domain.cpu_relax ();
+      wait_for flag
+    end
   in
-  Alcotest.(check bool) "all ran" true
-    (Array.for_all (( <> ) None) r);
-  Alcotest.(check (option int)) "values kept" (Some 30) r.(15);
-  (* ...and one that dies mid-batch drains the tail as [None] while
-     keeping every result that did complete. *)
-  let allowance = Budget.create ~allowance:6 () in
-  let r =
-    Pool.map_budgeted pool4 ~budget:allowance
-      (fun i -> Budget.spend allowance 1; i)
-      (Array.init 64 (fun i -> i))
+  let t_b =
+    Domain.spawn (fun () ->
+        wait_for mine_done;
+        Pool.run p
+          [|
+            (fun () ->
+              (* b0, run by this submitter: settle a nested batch, then
+                 give the waiting submitter time to steal b1. *)
+              Pool.run p [| (fun () -> ()) |];
+              let grace = Budget.create ~deadline_s:0.2 () in
+              while Atomic.get b1_runner = None && not (Budget.expired grace) do
+                Domain.cpu_relax ()
+              done;
+              Atomic.set release true);
+            (fun () -> Atomic.set b1_runner (Some (Domain.self ())));
+          |])
   in
-  let completed = Array.to_list r |> List.filter_map Fun.id in
-  Alcotest.(check bool) "some completed" true (List.length completed > 0);
-  Alcotest.(check bool) "tail drained" true
-    (Array.exists (( = ) None) r);
-  List.iter (fun i -> Alcotest.(check bool) "value intact" true (i >= 0 && i < 64)) completed
+  Pool.run p
+    (Array.init 2 (fun _ () ->
+         if Domain.self () = me then begin
+           (* Hold this task until the worker has claimed the other. *)
+           wait_for worker_started;
+           Atomic.set mine_done true
+         end
+         else begin
+           Atomic.set worker_started true;
+           wait_for release
+         end));
+  Domain.join t_b;
+  Pool.shutdown p;
+  Alcotest.(check bool) "b1 ran" true (Atomic.get b1_runner <> None);
+  Alcotest.(check bool) "not on the submitter of batch A" true
+    (Atomic.get b1_runner <> Some me)
 
 let test_pool_get_memoized () =
   Alcotest.(check bool) "same pool returned" true (Pool.get ~clamp:false 4 == pool4);
@@ -134,33 +160,68 @@ let test_rng_split_n_deterministic () =
   let par = Pool.map pool4 (fun g -> Rng.int g 1_000_000) gens in
   Alcotest.(check (array int)) "pool draws match sequential draws" seq par
 
-(* ---------- parallel remap ---------- *)
+(* ---------- concurrent Freeze and Rotate ---------- *)
 
 let bench_placed name =
   let design = Benchmarks.generate (Option.get (Benchmarks.find name)) in
   (design, Placer.aging_unaware design)
 
-let check_remap design baseline (r : Remap.result) =
+let check_remap design (r : Remap.result) =
   Alcotest.(check bool) "mapping valid" true (Mapping.validate design r.Remap.mapping = Ok ());
   Alcotest.(check bool) "audit clean" true (Audit.ok r.Remap.audit);
   Alcotest.(check bool) "cpd not worse" true
-    (r.Remap.new_cpd_ns <= r.Remap.baseline_cpd_ns +. 1e-9);
-  ignore baseline
+    (r.Remap.new_cpd_ns <= r.Remap.baseline_cpd_ns +. 1e-9)
 
 let test_parallel_remap_audit_clean () =
   List.iter
     (fun name ->
       let design, baseline = bench_placed name in
-      let params = { Remap.default_params with Remap.jobs = 4 } in
-      check_remap design baseline (Remap.solve ~params ~mode:Rotation.Freeze design baseline);
-      check_remap design baseline (Remap.solve ~params ~mode:Rotation.Rotate design baseline))
+      let fr, rr = Remap.solve_both design baseline in
+      check_remap design fr;
+      check_remap design rr)
     [ "B3"; "B10" ]
 
 let test_parallel_remap_tiny () =
   let design = Benchmarks.tiny () in
   let baseline = Placer.aging_unaware design in
-  let params = { Remap.default_params with Remap.jobs = 2 } in
-  check_remap design baseline (Remap.solve ~params ~mode:Rotation.Rotate design baseline)
+  check_remap design (Remap.solve ~mode:Rotation.Rotate design baseline)
+
+let same_result what (a : Remap.result) (b : Remap.result) =
+  Alcotest.(check bool) (what ^ " mapping") true (Mapping.equal a.Remap.mapping b.Remap.mapping);
+  Alcotest.(check (float 0.0)) (what ^ " st_target") a.Remap.st_target b.Remap.st_target;
+  Alcotest.(check int) (what ^ " outer iterations") a.Remap.outer_iterations
+    b.Remap.outer_iterations;
+  Alcotest.(check string) (what ^ " rung") (Remap.rung_to_string a.Remap.rung)
+    (Remap.rung_to_string b.Remap.rung)
+
+(* [solve_both] inside a task that keeps [Pool.get 2] busy: the other
+   domain is held until the solve returns, so the two modes run in
+   order on the solving domain. The pair must equal the one an idle
+   pool returns. On a 1-core host [Pool.get 2] has one domain and both
+   calls run in order. *)
+let test_busy_pool_same_pair () =
+  let design, baseline = bench_placed "B10" in
+  let idle = Remap.solve_both design baseline in
+  let solved = Atomic.make false in
+  let busy =
+    Pool.map (Pool.get 2)
+      (fun first ->
+        if first then begin
+          let r = Remap.solve_both design baseline in
+          Atomic.set solved true;
+          Some r
+        end
+        else begin
+          while not (Atomic.get solved) do
+            Domain.cpu_relax ()
+          done;
+          None
+        end)
+      [| true; false |]
+  in
+  let bf, br = Option.get busy.(0) in
+  same_result "freeze" (fst idle) bf;
+  same_result "rotate" (snd idle) br
 
 let () =
   Alcotest.run "parallel"
@@ -173,7 +234,8 @@ let () =
           Alcotest.test_case "exception propagation" `Quick test_pool_exception_propagation;
           Alcotest.test_case "nested submission" `Quick test_pool_nested_submission;
           Alcotest.test_case "run counter" `Quick test_pool_run_counter;
-          Alcotest.test_case "budget drain" `Quick test_pool_budget_drain;
+          Alcotest.test_case "submitter runs own batch" `Quick
+            test_pool_submitter_runs_own_batch;
           Alcotest.test_case "get memoized" `Quick test_pool_get_memoized;
         ] );
       ( "rng",
@@ -181,6 +243,7 @@ let () =
       ( "remap",
         [
           Alcotest.test_case "tiny rotate" `Quick test_parallel_remap_tiny;
+          Alcotest.test_case "busy pool same pair" `Quick test_busy_pool_same_pair;
           Alcotest.test_case "table-i audit clean" `Slow test_parallel_remap_audit_clean;
         ] );
     ]
