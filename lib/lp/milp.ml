@@ -630,61 +630,74 @@ let tree_search ~params ~sign ~int_vars ~lp_params model =
       root_gap_closed;
     } )
 
-let solve_with_stats ?(params = default_params) model0 =
+(* The presolve step of a solve: [Error msg] when presolve proves
+   [model0] has no feasible point, [Ok None] when presolve is off. *)
+let presolve_model ~(params : params) model0 =
+  if params.presolve then
+    match
+      Presolve.run ~budget:params.budget ~integrality_tol:params.integrality_tol model0
+    with
+    | Presolve.Proven_infeasible msg ->
+      Log.debug (fun k -> k "presolve proved infeasibility: %s" msg);
+      Error msg
+    | Presolve.Reduced p -> Ok (Some p)
+  else Ok None
+
+(* The answer for a model presolve refuted: no LP ran. *)
+let refuted () =
+  accumulate zero_stats;
+  (Infeasible, zero_stats)
+
+(* The search step: branch & bound on the presolved model [pre] (on a
+   copy of [model0] when presolve is off), lifted back to [model0]'s
+   variable space. Never mutates [pre], so a caller may search it
+   more than once. *)
+let search_with_stats ~params model0 pre =
   let dir, obj0 = Model.objective model0 in
   let sign = solution_sign dir in
-  let presolved =
-    if params.presolve then
-      match
-        Presolve.run ~budget:params.budget ~integrality_tol:params.integrality_tol model0
-      with
-      | Presolve.Proven_infeasible msg ->
-        Log.debug (fun k -> k "presolve proved infeasibility: %s" msg);
-        Error msg
-      | Presolve.Reduced p -> Ok (Some p)
-    else Ok None
+  let model, reductions =
+    match pre with
+    | Some p -> (Presolve.reduced p, Presolve.reductions p)
+    | None -> (Model.copy model0, Presolve.no_reductions)
   in
-  match presolved with
-  | Error _ ->
-    let s = { zero_stats with presolve = Presolve.no_reductions } in
-    accumulate s;
-    (Infeasible, s)
-  | Ok pre ->
-    let model, reductions =
-      match pre with
-      | Some p -> (Presolve.reduced p, Presolve.reductions p)
-      | None -> (Model.copy model0, Presolve.no_reductions)
-    in
-    let int_vars = Model.integer_vars model in
-    let lp_params =
-      if Budget.is_unlimited params.budget then params.lp_params
-      else { params.lp_params with Simplex.budget = params.budget }
-    in
-    let incumbent, budget_hit, search =
-      tree_search ~params ~sign ~int_vars ~lp_params model
-    in
-    let stats = { search with presolve = reductions } in
-    accumulate stats;
-    let result =
-      match incumbent with
-      | Some sol ->
-        (* Lift back to the original variable space and round every
-           integer variable to an exact integral value — a relaxation
-           solution within integrality_tol (e.g. 0.9999993) must not
-           leak fractional binaries downstream. *)
-        let values =
-          match pre with Some p -> Presolve.postsolve p sol.values | None -> sol.values
-        in
-        List.iter (fun v -> values.(v) <- Float.round values.(v)) (Model.integer_vars model0);
-        let objective = Expr.eval (fun v -> values.(v)) obj0 in
-        Feasible { values; objective; iterations = sol.iterations }
-      | None -> if budget_hit then Unknown else Infeasible
-    in
-    (result, stats)
+  let int_vars = Model.integer_vars model in
+  let lp_params =
+    if Budget.is_unlimited params.budget then params.lp_params
+    else { params.lp_params with Simplex.budget = params.budget }
+  in
+  let incumbent, budget_hit, search =
+    tree_search ~params ~sign ~int_vars ~lp_params model
+  in
+  let stats = { search with presolve = reductions } in
+  accumulate stats;
+  let result =
+    match incumbent with
+    | Some sol ->
+      (* Lift back to the original variable space and round every
+         integer variable to an exact integral value — a relaxation
+         solution within integrality_tol (e.g. 0.9999993) must not
+         leak fractional binaries downstream. *)
+      let values =
+        match pre with Some p -> Presolve.postsolve p sol.values | None -> sol.values
+      in
+      List.iter (fun v -> values.(v) <- Float.round values.(v)) (Model.integer_vars model0);
+      let objective = Expr.eval (fun v -> values.(v)) obj0 in
+      Feasible { values; objective; iterations = sol.iterations }
+    | None -> if budget_hit then Unknown else Infeasible
+  in
+  (result, stats)
+
+let solve_with_stats ?(params = default_params) model0 =
+  match presolve_model ~params model0 with
+  | Error _ -> refuted ()
+  | Ok pre -> search_with_stats ~params model0 pre
 
 let solve ?params model0 = fst (solve_with_stats ?params model0)
 
-let relax_and_fix_with_stats ?(threshold = 0.95) ?(params = default_params) model0 =
+(* Relax-and-fix once [model0] has survived presolve as [pre0]: the
+   root LP, the pre-mapped search and, when that fails, the fallback
+   search of [pre0] itself. *)
+let relax_and_fix_presolved ~threshold ~params model0 pre0 =
   (* The root relaxation is counted both in the returned per-call stats
      (folded in below) and in the global cumulative counters (via
      note_lp_solve), so the two accountings agree. *)
@@ -738,8 +751,16 @@ let relax_and_fix_with_stats ?(threshold = 0.95) ?(params = default_params) mode
     | Feasible sol, stats -> (validate (Feasible sol), add_stats root stats)
     | (Infeasible | Unknown), stats ->
       (* The aggressive pre-mapping can over-constrain; retry without it. *)
-      let r, stats' = solve_with_stats ~params model0 in
+      let r, stats' = search_with_stats ~params model0 pre0 in
       (validate r, add_stats root (add_stats stats stats')))
+
+let relax_and_fix_with_stats ?(threshold = 0.95) ?(params = default_params) model0 =
+  (* Presolve the unfixed model first. A pre-mapping of a model with no
+     integer point has none either, so a refuted model costs one
+     presolve: no root LP and no pre-mapped search. *)
+  match presolve_model ~params model0 with
+  | Error _ -> refuted ()
+  | Ok pre0 -> relax_and_fix_presolved ~threshold ~params model0 pre0
 
 let relax_and_fix ?threshold ?params model0 =
   fst (relax_and_fix_with_stats ?threshold ?params model0)

@@ -16,9 +16,13 @@
     - {!relax_and_fix}: the paper's two-step MILP (§V.B Step 1) —
       solve the LP relaxation, pre-map every binary whose relaxed
       value exceeds a threshold (0.95 in the paper) to 1, then run
-      branch & bound on the residual problem. Falls back to plain
-      branch & bound when the pre-mapping makes the residual
-      infeasible.
+      branch & bound on the residual problem. The unfixed model is
+      presolved first: when presolve proves it infeasible the call
+      returns [Infeasible] with no LP solved (a pre-mapping of it has
+      no integer point either). Otherwise the presolved model is
+      kept, and when the pre-mapping makes the residual infeasible
+      the fallback branch & bound searches it without presolving
+      again.
 
     Returned solutions are always in the original variable space with
     integer variables rounded to exact integral values. *)

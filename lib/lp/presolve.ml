@@ -169,6 +169,31 @@ let drop_tol = 1e-11
    itself. *)
 let max_subst_rows = 32
 
+(* Sort [a.(0) .. a.(k - 1)] ascending in place (heapsort): no
+   allocation, unlike sorting a copy. *)
+let sort_prefix (a : int array) k =
+  let rec sift i len =
+    let l = (2 * i) + 1 in
+    if l < len then begin
+      let c = if l + 1 < len && a.(l + 1) > a.(l) then l + 1 else l in
+      if a.(c) > a.(i) then begin
+        let t = a.(i) in
+        a.(i) <- a.(c);
+        a.(c) <- t;
+        sift c len
+      end
+    end
+  in
+  for i = (k / 2) - 1 downto 0 do
+    sift i k
+  done;
+  for last = k - 1 downto 1 do
+    let t = a.(0) in
+    a.(0) <- a.(last);
+    a.(last) <- t;
+    sift 0 last
+  done
+
 let run ?(budget = Agingfp_util.Budget.unlimited) ?(integrality_tol = 1e-9)
     ?(max_rounds = 10) model =
   let n = Model.num_vars model in
@@ -220,6 +245,7 @@ let run ?(budget = Agingfp_util.Budget.unlimited) ?(integrality_tol = 1e-9)
     in
     go 0 rule_names
   in
+  let rule_label = Array.of_list rule_names in
   let r_apps = Array.make nrules 0
   and r_rows = Array.make nrules 0
   and r_vars = Array.make nrules 0
@@ -273,7 +299,32 @@ let run ?(budget = Agingfp_util.Budget.unlimited) ?(integrality_tol = 1e-9)
            (Printf.sprintf "%s: variable %d (%s) has empty domain [%g, %g]" where v
               (Model.var_name model v) lb.(v) ub.(v)))
   in
-  (* Pin [v] to [x]: fold it out of every row and the objective. *)
+  let check_row_consistent r where =
+    (* A row whose terms all vanished must be trivially satisfied. *)
+    if row_live.(r) && row_terms.(r) = [] then begin
+      let rhs = row_rhs.(r) in
+      let ok =
+        match row_rel.(r) with
+        | Model.Le -> 0.0 <= rhs +. feas_tol
+        | Model.Ge -> 0.0 >= rhs -. feas_tol
+        | Model.Eq -> abs_float rhs <= feas_tol
+      in
+      if not ok then
+        raise
+          (Infeas
+             (Printf.sprintf "%s: row %d (%s) contradictory" where r
+                (Model.row_name model r)))
+    end
+  in
+  (* The row a rule is folding its own variables out of and removes
+     right after (a singleton or forcing row): it may empty with a rhs
+     residue inside that rule's tolerance, so it is not judged. *)
+  let dying_row = ref (-1) in
+  (* Pin [v] to [x]: fold it out of every row and the objective. A row
+     this empties with an unsatisfiable rhs ends the run at once: no
+     rule adds terms back to an empty row, and every path that removes
+     or rebuilds one checks it first, so the run could only end
+     [Proven_infeasible] on it later. *)
   let substitute_value rule v x =
     if live_var.(v) then begin
       fixval.(v) <- x;
@@ -293,24 +344,11 @@ let run ?(budget = Agingfp_util.Budget.unlimited) ?(integrality_tol = 1e-9)
             | Some c ->
               row_rhs.(r) <- row_rhs.(r) -. (c *. x);
               row_terms.(r) <- List.filter (fun (u, _) -> u <> v) row_terms.(r);
-              incr nrows
+              incr nrows;
+              if r <> !dying_row then check_row_consistent r rule_label.(rule)
           end)
         var_rows.(v);
       touch rule ~vars:1 ~coeffs:!nrows ()
-    end
-  in
-  let check_row_consistent r where =
-    (* A row whose terms all vanished must be trivially satisfied. *)
-    if row_live.(r) && row_terms.(r) = [] then begin
-      let rhs = row_rhs.(r) in
-      let ok =
-        match row_rel.(r) with
-        | Model.Le -> 0.0 <= rhs +. feas_tol
-        | Model.Ge -> 0.0 >= rhs -. feas_tol
-        | Model.Eq -> abs_float rhs <= feas_tol
-      in
-      if not ok then
-        raise (Infeas (Printf.sprintf "%s: row %d contradictory" where r))
     end
   in
   (* Fix any variable whose domain collapsed (integers: to a single
@@ -425,6 +463,7 @@ let run ?(budget = Agingfp_util.Budget.unlimited) ?(integrality_tol = 1e-9)
         remove_row rl_empty r
       | [ (v, c) ] ->
         (* Singleton row: absorb into the variable's bounds. *)
+        dying_row := r;
         let x = rhs /. c in
         (match row_rel.(r) with
         | Model.Eq ->
@@ -444,6 +483,7 @@ let run ?(budget = Agingfp_util.Budget.unlimited) ?(integrality_tol = 1e-9)
           else ignore (tighten_ub rl_singleton v x);
           check_var_consistent v "singleton row");
         remove_row rl_singleton r;
+        dying_row := -1;
         incr singleton_rows
       | terms ->
         let min_fin, min_inf = min_activity terms in
@@ -482,18 +522,22 @@ let run ?(budget = Agingfp_util.Budget.unlimited) ?(integrality_tol = 1e-9)
             && max_fin <= rhs +. eps
           in
           if forcing_min then begin
+            dying_row := r;
             List.iter
               (fun (v, c) ->
                 substitute_value rl_forcing v (if c > 0.0 then lb.(v) else ub.(v)))
               terms;
-            remove_row rl_forcing r
+            remove_row rl_forcing r;
+            dying_row := -1
           end
           else if forcing_max then begin
+            dying_row := r;
             List.iter
               (fun (v, c) ->
                 substitute_value rl_forcing v (if c > 0.0 then ub.(v) else lb.(v)))
               terms;
-            remove_row rl_forcing r
+            remove_row rl_forcing r;
+            dying_row := -1
           end
         end
     end
@@ -880,6 +924,90 @@ let run ?(budget = Agingfp_util.Budget.unlimited) ?(integrality_tol = 1e-9)
   let probed = Array.make (max n 1) false in
   let probe_ops = ref 0 in
   let probe_ops_limit = max 200_000 (40 * !orig_nnz) in
+  (* Per-probe scratch, reused across probes so a probe allocates
+     nothing: a variable is forced in the current probe when its mark
+     equals [stamp] (its value is then [forced_val]), a row is touched
+     when its mark does, and [touched] lists the touched rows. *)
+  let stamp = ref 0 in
+  let forced_mark = Array.make (max n 1) 0 in
+  let forced_val = Array.make (max n 1) 0.0 in
+  let row_mark = Array.make (max m 1) 0 in
+  let touched = Array.make (max m 1) 0 in
+  let ntouched = ref 0 in
+  let rec touch_rows = function
+    | [] -> ()
+    | r :: tl ->
+      if row_mark.(r) <> !stamp then begin
+        row_mark.(r) <- !stamp;
+        touched.(!ntouched) <- r;
+        incr ntouched
+      end;
+      touch_rows tl
+  in
+  let force u x =
+    if forced_mark.(u) <> !stamp then begin
+      forced_mark.(u) <- !stamp;
+      touch_rows var_rows.(u)
+    end;
+    forced_val.(u) <- x
+  in
+  let rec force_mates v = function
+    | [] -> ()
+    | u :: tl ->
+      if u <> v && live_var.(u) then force u 0.0;
+      force_mates v tl
+  in
+  let rec force_cliques v = function
+    | [] -> ()
+    | ci :: tl ->
+      force_mates v !clique_members.(ci);
+      force_cliques v tl
+  in
+  (* One scan accumulates both activity ends of a row under the probe:
+     [act.(0)]/[act.(1)] are the finite low/high sums, [lo_inf]/[hi_inf]
+     count infinite contributions. *)
+  let act = Array.make 2 0.0 in
+  let lo_inf = ref 0 and hi_inf = ref 0 in
+  let add_term u c =
+    if forced_mark.(u) = !stamp then begin
+      let t = c *. forced_val.(u) in
+      act.(0) <- act.(0) +. t;
+      act.(1) <- act.(1) +. t
+    end
+    else begin
+      let cmin = if c > 0.0 then c *. lb.(u) else c *. ub.(u) in
+      let cmax = if c > 0.0 then c *. ub.(u) else c *. lb.(u) in
+      if Float.equal cmin neg_infinity then incr lo_inf else act.(0) <- act.(0) +. cmin;
+      if Float.equal cmax infinity then incr hi_inf else act.(1) <- act.(1) +. cmax
+    end
+  in
+  let rec scan_terms = function
+    | [] -> ()
+    | (u, c) :: tl ->
+      add_term u c;
+      scan_terms tl
+  in
+  let contradicts r =
+    let terms = row_terms.(r) in
+    probe_ops := !probe_ops + List.length terms;
+    act.(0) <- 0.0;
+    act.(1) <- 0.0;
+    lo_inf := 0;
+    hi_inf := 0;
+    scan_terms terms;
+    let minact = if !lo_inf > 0 then neg_infinity else act.(0) in
+    let maxact = if !hi_inf > 0 then infinity else act.(1) in
+    match row_rel.(r) with
+    | Model.Le -> minact > row_rhs.(r) +. feas_tol
+    | Model.Ge -> maxact < row_rhs.(r) -. feas_tol
+    | Model.Eq -> minact > row_rhs.(r) +. feas_tol || maxact < row_rhs.(r) -. feas_tol
+  in
+  (* The live touched rows in ascending order, up to the first
+     contradiction. *)
+  let rec any_contradiction i =
+    i < !ntouched
+    && ((row_live.(touched.(i)) && contradicts touched.(i)) || any_contradiction (i + 1))
+  in
   let probe_var v =
     if
       is_binary v
@@ -888,55 +1016,12 @@ let run ?(budget = Agingfp_util.Budget.unlimited) ?(integrality_tol = 1e-9)
       && !probe_ops < probe_ops_limit
     then begin
       probed.(v) <- true;
-      let forced = Hashtbl.create 16 in
-      Hashtbl.replace forced v 1.0;
-      List.iter
-        (fun ci ->
-          List.iter
-            (fun u -> if u <> v && live_var.(u) then Hashtbl.replace forced u 0.0)
-            !clique_members.(ci))
-        var_cliques.(v);
-      let touched =
-        Hashtbl.fold (fun u _ acc -> List.rev_append var_rows.(u) acc) forced []
-        |> List.sort_uniq compare
-        |> List.filter (fun r -> row_live.(r))
-      in
-      let contradiction =
-        List.exists
-          (fun r ->
-            let terms = row_terms.(r) in
-            probe_ops := !probe_ops + List.length terms;
-            (* One scan accumulates both activity ends. *)
-            let lo, lo_inf, hi, hi_inf =
-              List.fold_left
-                (fun (lo, lk, hi, hk) (u, c) ->
-                  match Hashtbl.find_opt forced u with
-                  | Some x ->
-                    let t = c *. x in
-                    (lo +. t, lk, hi +. t, hk)
-                  | None ->
-                    let cmin = if c > 0.0 then c *. lb.(u) else c *. ub.(u) in
-                    let cmax = if c > 0.0 then c *. ub.(u) else c *. lb.(u) in
-                    let lo, lk =
-                      if Float.equal cmin neg_infinity then (lo, lk + 1)
-                      else (lo +. cmin, lk)
-                    in
-                    let hi, hk =
-                      if Float.equal cmax infinity then (hi, hk + 1)
-                      else (hi +. cmax, hk)
-                    in
-                    (lo, lk, hi, hk))
-                (0.0, 0, 0.0, 0) terms
-            in
-            let minact = if lo_inf > 0 then neg_infinity else lo in
-            let maxact = if hi_inf > 0 then infinity else hi in
-            match row_rel.(r) with
-            | Model.Le -> minact > row_rhs.(r) +. feas_tol
-            | Model.Ge -> maxact < row_rhs.(r) -. feas_tol
-            | Model.Eq -> minact > row_rhs.(r) +. feas_tol || maxact < row_rhs.(r) -. feas_tol)
-          touched
-      in
-      if contradiction then begin
+      incr stamp;
+      ntouched := 0;
+      force v 1.0;
+      force_cliques v var_cliques.(v);
+      sort_prefix touched !ntouched;
+      if any_contradiction 0 then begin
         (* substitute_value records the application, so the per-rule
            counter stays equal to probe_fixings. *)
         incr probe_fixings;

@@ -20,6 +20,7 @@ module Lifetime = Agingfp_floorplan.Lifetime
 module Mttf_mod = Agingfp_aging.Mttf
 module Simplex = Agingfp_lp.Simplex
 module Milp = Agingfp_lp.Milp
+module Presolve = Agingfp_lp.Presolve
 module Audit = Agingfp_floorplan.Audit
 
 let tiny_placed () =
@@ -818,11 +819,17 @@ let test_remap_certify_clean () =
    rewrites must leave every pivot bit-identical, so these counts may
    only change with a deliberate change to the pivot rules, the
    refactorization policy or the search; update them then, and only
-   then. The one exception is the dual restore's cycle exit, which
-   ends a repeating run of bound flips early and lands on the same
-   cold restart: it may move [lp_iterations], and nothing else. *)
+   then. Two exceptions may move named counters, and nothing else:
+   the dual restore's cycle exit, which ends a repeating run of bound
+   flips early and lands on the same cold restart, may move
+   [lp_iterations]; relax-and-fix presolving the unfixed model first,
+   which skips the root LP of every call presolve refutes, may move
+   [lp_iterations] and [cold_solves]. [presolve] pins B5's aggregate
+   reductions as (rounds, rows_removed, vars_fixed, bounds_tightened,
+   probe_fixings), so a presolve rewrite must reduce exactly as
+   before. *)
 let golden_counters name ~nodes ~lp_iterations ~warm ~cold ~refactorizations ~eta_updates
-    () =
+    ?presolve () =
   let design, baseline = bench_placed name in
   Milp.reset_cumulative ();
   ignore (Remap.solve_both design baseline);
@@ -833,15 +840,25 @@ let golden_counters name ~nodes ~lp_iterations ~warm ~cold ~refactorizations ~et
   check "warm_solves" warm s.Milp.warm_solves;
   check "cold_solves" cold s.Milp.cold_solves;
   check "refactorizations" refactorizations s.Milp.refactorizations;
-  check "eta_updates" eta_updates s.Milp.eta_updates
+  check "eta_updates" eta_updates s.Milp.eta_updates;
+  Option.iter
+    (fun (rounds, rows_removed, vars_fixed, bounds_tightened, probe_fixings) ->
+      let r = s.Milp.presolve in
+      check "presolve rounds" rounds r.Presolve.rounds;
+      check "rows_removed" rows_removed r.Presolve.rows_removed;
+      check "vars_fixed" vars_fixed r.Presolve.vars_fixed;
+      check "bounds_tightened" bounds_tightened r.Presolve.bounds_tightened;
+      check "probe_fixings" probe_fixings r.Presolve.probe_fixings)
+    presolve
 
 let test_golden_b10 =
   golden_counters "B10" ~nodes:0 ~lp_iterations:209 ~warm:0 ~cold:2 ~refactorizations:4
     ~eta_updates:209
 
 let test_golden_b5 =
-  golden_counters "B5" ~nodes:17 ~lp_iterations:6039 ~warm:113 ~cold:99
+  golden_counters "B5" ~nodes:17 ~lp_iterations:4816 ~warm:113 ~cold:83
     ~refactorizations:102 ~eta_updates:3577
+    ~presolve:(53, 1070, 2349, 1423, 141)
 
 (* The refine pass on B8's baseline under the Freeze plan: a
    16-context 8x8 design whose pass rejects most of its trials. The

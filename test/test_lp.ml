@@ -814,6 +814,57 @@ let test_relax_and_fix_matches_bb () =
   let s2 = get_feasible (Milp.relax_and_fix ~params (build ())) in
   Alcotest.(check (float 1e-6)) "same optimum" s1.objective s2.objective
 
+(* A one-hot row whose members each sit in a knapsack row they cannot
+   reach 1 in: the LP relaxation is feasible (every member at 1/3),
+   but presolve's bound tightening rounds every member to 0. *)
+let starved_one_hot_model () =
+  let m = Model.create () in
+  let xs = Array.init 3 (fun _ -> Model.add_binary m) in
+  ignore
+    (Model.add_constraint ~name:"onehot" m
+       (Expr.sum (Array.to_list (Array.map Expr.var xs)))
+       Model.Eq 1.0);
+  Array.iter
+    (fun x ->
+      let y = Model.add_var ~ub:1.0 m in
+      ignore
+        (Model.add_constraint m (Expr.add (Expr.var ~coef:5.0 x) (Expr.var y)) Model.Le 3.0))
+    xs;
+  Model.set_objective m Model.Maximize (Expr.var xs.(0));
+  m
+
+let test_relax_and_fix_presolve_refutes () =
+  let m = starved_one_hot_model () in
+  (match Simplex.solve m with
+  | Simplex.Optimal _ -> ()
+  | st -> Alcotest.failf "LP relaxation should be feasible, got %a" Simplex.pp_status st);
+  let r, s = Milp.relax_and_fix_with_stats m in
+  (match r with
+  | Milp.Infeasible -> ()
+  | r -> Alcotest.failf "expected infeasible, got %a" Milp.pp_result r);
+  Alcotest.(check int) "no root LP" 0 s.Milp.cold_solves;
+  Alcotest.(check int) "no LP iterations" 0 s.Milp.lp_iterations
+
+let test_relax_and_fix_over_constrained () =
+  (* max 3x + y + z with y + z <= 1.5 and y + z >= 1.5x: the LP
+     optimum has x = 1, so relax-and-fix pre-maps x to 1, which leaves
+     no integer point (y + z would have to be 1.5); the unfixed model
+     is feasible (x = 0) and must be found by the fallback search. *)
+  let m = Model.create () in
+  let x = Model.add_binary m and y = Model.add_binary m and z = Model.add_binary m in
+  let yz = Expr.add (Expr.var y) (Expr.var z) in
+  ignore (Model.add_constraint m yz Model.Le 1.5);
+  ignore (Model.add_constraint m (Expr.add yz (Expr.var ~coef:(-1.5) x)) Model.Ge 0.0);
+  Model.set_objective m Model.Maximize
+    (Expr.sum [ Expr.var ~coef:3.0 x; Expr.var y; Expr.var z ]);
+  let lp = get_optimal (Simplex.solve m) in
+  Alcotest.(check bool) "LP pre-maps x" true (lp.values.(x) > 0.95);
+  let params = { Milp.default_params with first_solution = false } in
+  let s1 = get_feasible (Milp.solve ~params m) in
+  let s2 = get_feasible (Milp.relax_and_fix ~params m) in
+  Alcotest.(check (float 1e-6)) "same objective" s1.objective s2.objective;
+  Alcotest.(check (float 1e-6)) "x off" 0.0 s2.values.(x)
+
 let test_milp_mixed_integer_continuous () =
   (* max 2x + y with x binary, y continuous <= 1.5, x + y <= 2. *)
   let m = Model.create () in
@@ -1507,6 +1558,10 @@ let () =
           Alcotest.test_case "infeasible" `Quick test_milp_infeasible;
           Alcotest.test_case "assignment" `Quick test_milp_assignment;
           Alcotest.test_case "relax-and-fix matches B&B" `Quick test_relax_and_fix_matches_bb;
+          Alcotest.test_case "relax-and-fix presolve refutes first" `Quick
+            test_relax_and_fix_presolve_refutes;
+          Alcotest.test_case "relax-and-fix over-constrained pre-map" `Quick
+            test_relax_and_fix_over_constrained;
           Alcotest.test_case "mixed integer/continuous" `Quick
             test_milp_mixed_integer_continuous;
           Alcotest.test_case "stats show warm branching" `Quick

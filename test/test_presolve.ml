@@ -217,6 +217,28 @@ let test_empty_row_infeasibility () =
   | Presolve.Proven_infeasible _ -> ()
   | Presolve.Reduced _ -> Alcotest.fail "0 >= 1 must be proven infeasible"
 
+let test_starved_one_hot_stops_at_row () =
+  (* Round 1's bound tightening rounds every member of the one-hot row
+     to 0 (5x + y <= 3 with y >= 0 leaves x <= 0.6); the run stops on
+     that row as the last member is fixed, and says so. *)
+  let m = Model.create () in
+  let xs = Array.init 3 (fun _ -> Model.add_binary m) in
+  ignore
+    (Model.add_constraint ~name:"onehot" m
+       (Expr.sum (Array.to_list (Array.map Expr.var xs)))
+       Model.Eq 1.0);
+  Array.iter
+    (fun x ->
+      let y = Model.add_var ~ub:1.0 m in
+      ignore
+        (Model.add_constraint m (Expr.add (Expr.var ~coef:5.0 x) (Expr.var y)) Model.Le 3.0))
+    xs;
+  match Presolve.run m with
+  | Presolve.Reduced _ -> Alcotest.fail "a one-hot row with every member at 0 is infeasible"
+  | Presolve.Proven_infeasible msg ->
+    Alcotest.(check string) "names the row and the rule that emptied it"
+      "bound_tighten: row 0 (onehot) contradictory" msg
+
 (* ---------- planted-witness soundness ---------- *)
 
 (* Build a random Eq.(3)-shaped model TOGETHER with an integer point
@@ -226,10 +248,10 @@ let test_empty_row_infeasibility () =
    feasible. This is the property that catches unsound reductions on
    structured (one-hot + knapsack) instances that uniform-random
    models never exercise. *)
-let planted_model seed =
+let planted_model ?(max_groups = 5) seed =
   let rng = Rng.create seed in
   let m = Model.create () in
-  let ngroups = 2 + Rng.int rng 4 in
+  let ngroups = 2 + Rng.int rng (max_groups - 1) in
   let groups =
     Array.init ngroups (fun _ ->
         let size = 2 + Rng.int rng 3 in
@@ -325,6 +347,98 @@ let prop_planted_never_infeasible =
         | st ->
           QCheck2.Test.fail_reportf "reduced LP: %s"
             (Format.asprintf "%a" Simplex.pp_status st)))
+
+(* Every 0/1 assignment of the model's binaries, checked row by row.
+   Each continuous variable must occur in at most one row, so a row is
+   satisfiable exactly when its activity range over the continuous
+   bounds meets the rhs. *)
+let enumerate_feasible m =
+  let ints = Array.of_list (Model.integer_vars m) in
+  let nb = Array.length ints in
+  if nb > 16 then Alcotest.failf "%d binaries: too many to enumerate" nb;
+  let is_int = Array.make (Model.num_vars m) false in
+  Array.iter (fun v -> is_int.(v) <- true) ints;
+  let rows = ref [] and seen = Array.make (Model.num_vars m) false in
+  Model.iter_constraints m (fun _ lhs rel rhs ->
+      List.iter
+        (fun (v, _) ->
+          if not is_int.(v) then begin
+            if seen.(v) then Alcotest.fail "continuous variable in two rows";
+            seen.(v) <- true
+          end)
+        (Expr.terms lhs);
+      rows := (Expr.terms lhs, rel, rhs) :: !rows);
+  let x = Array.make (Model.num_vars m) 0.0 in
+  let row_ok (terms, rel, rhs) =
+    let lo, hi =
+      List.fold_left
+        (fun (lo, hi) (v, c) ->
+          if is_int.(v) then (lo +. (c *. x.(v)), hi +. (c *. x.(v)))
+          else
+            let a = c *. Model.var_lb m v and b = c *. Model.var_ub m v in
+            (lo +. Float.min a b, hi +. Float.max a b))
+        (0.0, 0.0) terms
+    in
+    match rel with
+    | Model.Le -> lo <= rhs +. 1e-9
+    | Model.Ge -> hi >= rhs -. 1e-9
+    | Model.Eq -> lo <= rhs +. 1e-9 && hi >= rhs -. 1e-9
+  in
+  let rec search mask =
+    mask < 1 lsl nb
+    && begin
+         Array.iteri
+           (fun i v -> x.(v) <- (if mask land (1 lsl i) <> 0 then 1.0 else 0.0))
+           ints;
+         List.for_all row_ok !rows || search (mask + 1)
+       end
+  in
+  search 0
+
+(* A planted model plus one extra one-hot group and a knapsack row over
+   that group and some planted binaries. Poisoned: every group member's
+   knapsack coefficient exceeds the rhs, so no member can be 1 and the
+   model has no integer point. Otherwise each member's coefficient is
+   drawn from 1 to rhs + 4, and enumeration decides. *)
+let poisoned_model seed poisoned =
+  let m = planted_model ~max_groups:3 seed in
+  let rng = Rng.create (seed + 1) in
+  let planted = Array.of_list (Model.integer_vars m) in
+  let group = Array.init (2 + Rng.int rng 2) (fun _ -> Model.add_binary m) in
+  ignore
+    (Model.add_constraint ~name:"poisoned" m
+       (Expr.sum (Array.to_list (Array.map Expr.var group)))
+       Model.Eq 1.0);
+  let others =
+    Array.fold_left
+      (fun acc v ->
+        if Rng.int rng 3 = 0 then Expr.var ~coef:(float_of_int (1 + Rng.int rng 5)) v :: acc
+        else acc)
+      [] planted
+  in
+  let rhs = float_of_int (Rng.int rng 6) in
+  let coef () =
+    if poisoned then rhs +. float_of_int (1 + Rng.int rng 4)
+    else float_of_int (1 + Rng.int rng (int_of_float rhs + 4))
+  in
+  let members = Array.to_list (Array.map (fun v -> Expr.var ~coef:(coef ()) v) group) in
+  ignore (Model.add_constraint m (Expr.sum (members @ others)) Model.Le rhs);
+  m
+
+let prop_poisoned_matches_enumeration =
+  QCheck2.Test.make ~name:"presolve infeasibility agrees with 0/1 enumeration" ~count:200
+    ~print:(fun (seed, poisoned) -> Printf.sprintf "seed=%d poisoned=%b" seed poisoned)
+    QCheck2.Gen.(pair int bool)
+    (fun (seed, poisoned) ->
+      let m = poisoned_model seed poisoned in
+      let feasible = enumerate_feasible m in
+      if poisoned && feasible then QCheck2.Test.fail_reportf "poisoned model has a point";
+      match Presolve.run m with
+      | Presolve.Proven_infeasible r when feasible ->
+        QCheck2.Test.fail_reportf "falsely proven infeasible: %s" r
+      | Presolve.Reduced _ when poisoned ->
+        QCheck2.Test.fail_reportf "poisoned model not proven infeasible"
+      | _ -> true)
 
 (* presolve ∘ postsolve preserves the MILP verdict and objective,
    across basis kernels and warm/cold node starts. *)
@@ -500,6 +614,8 @@ let () =
           Alcotest.test_case "clique probing" `Quick test_probe;
           Alcotest.test_case "empty-row infeasibility" `Quick
             test_empty_row_infeasibility;
+          Alcotest.test_case "starved one-hot row stops the run" `Quick
+            test_starved_one_hot_stops_at_row;
           Alcotest.test_case "postsolve identity" `Quick
             test_postsolve_identity_on_no_reduction;
         ] );
@@ -507,6 +623,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_planted_never_infeasible;
           QCheck_alcotest.to_alcotest prop_milp_presolve_equivalence;
+          QCheck_alcotest.to_alcotest prop_poisoned_matches_enumeration;
         ] );
       ( "ci-guard",
         [
