@@ -33,11 +33,11 @@ val build :
   frozen:Rotation.plan ->
   monitored:Paths.budgeted list array ->
   t
-(** When [budget] (default unlimited) expires mid-build, the remaining
-    operations receive the trivial radius-0 candidate set — still
-    structurally valid, so the deadline-bounded caller can keep
-    degrading gracefully instead of blocking on the full
-    O(ops × PEs log PEs) generation. *)
+(** Costs one O(PEs) scan per operation, O(ops × PEs) in all, plus
+    the sets themselves. When [budget] (default unlimited) expires
+    mid-build, the remaining operations receive the trivial radius-0
+    candidate set — still structurally valid, so the deadline-bounded
+    caller can keep degrading gracefully. *)
 
 val get : t -> ctx:int -> op:int -> int list
 (** Candidate PEs for an unfrozen operation (always contains its

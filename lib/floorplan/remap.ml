@@ -406,8 +406,7 @@ let solve_context params design baseline ~candidates ~monitored ~st_target ~comm
   (* Fast path: LP relaxation + structured rounding; fall back to the
      paper's two-step MILP when rounding misses or breaks a path
      budget. The ladder's [machinery] caps what this is allowed to
-     cost: [Heuristic] skips the LP entirely, [Lp_rounding] skips the
-     branch & bound. *)
+     cost: [Lp_rounding] skips the branch & bound. *)
   let try_rounding lp_value =
     let committed' = Array.copy committed in
     let dfg = Design.context design ctx in
@@ -428,89 +427,86 @@ let solve_context params design baseline ~candidates ~monitored ~st_target ~comm
     end
     else None
   in
-  if machinery = Heuristic then try_rounding (fun _ _ -> 0.0)
-  else begin
-    let inst, lp_status =
-      cached_lp_solve ~certify:params.certify ~budget ~stats_note
-        ~get:(fun () -> Hashtbl.find_opt cache.per_ctx ctx)
-        ~set:(fun entry -> Hashtbl.replace cache.per_ctx ctx entry)
-        ~build:(fun () ->
-          Ilp_model.build ~encoding:params.encoding ~objective:params.objective design
-            ~baseline ~st_target ~candidates ~monitored ~contexts:[ ctx ] ~committed)
-        ~st_target ~committed
+  let inst, lp_status =
+    cached_lp_solve ~certify:params.certify ~budget ~stats_note
+      ~get:(fun () -> Hashtbl.find_opt cache.per_ctx ctx)
+      ~set:(fun entry -> Hashtbl.replace cache.per_ctx ctx entry)
+      ~build:(fun () ->
+        Ilp_model.build ~encoding:params.encoding ~objective:params.objective design
+          ~baseline ~st_target ~candidates ~monitored ~contexts:[ ctx ] ~committed)
+      ~st_target ~committed
+  in
+  let lp_model = Ilp_model.model inst in
+  match lp_status with
+  | Simplex.Infeasible ->
+    (* The residual budget cannot host this context at all. *)
+    None
+  | (Simplex.Unbounded | Simplex.Iteration_limit | Simplex.Deadline | Simplex.Fault _)
+    as s ->
+    (* No usable relaxation — not the same thing as infeasible.
+       Record the downgrade and try the unguided packer, which needs
+       no LP at all. *)
+    note (lp_cut_reason s)
+      (Format.asprintf "per-context LP relaxation unusable (%a); unguided rounding"
+         Simplex.pp_status s);
+    try_rounding (fun _ _ -> 0.0)
+  | Simplex.Optimal sol -> (
+    (* Guide the rounding pass with the fractional relaxation. *)
+    let lp_value op pe =
+      match Ilp_model.var inst ~ctx ~op ~pe with
+      | Some v -> sol.Agingfp_lp.Simplex.values.(v)
+      | None -> 0.0
     in
-    let lp_model = Ilp_model.model inst in
-    match lp_status with
-    | Simplex.Infeasible ->
-      (* The residual budget cannot host this context at all. *)
+    match try_rounding lp_value with
+    | Some mapping -> Some mapping
+    | None when Ilp_model.num_binaries inst > 2400 ->
+      (* On very large per-context models a failed attempt must stay
+         cheap (Algorithm 1 simply relaxes ST_target by Δ and retries,
+         and the refinement pass recovers leveling quality afterwards).
+         With presolve + warm-started nodes the B&B fallback is cheap
+         enough to double the eligibility threshold of the cold-solve
+         era. *)
       None
-    | (Simplex.Unbounded | Simplex.Iteration_limit | Simplex.Deadline | Simplex.Fault _)
-      as s ->
-      (* No usable relaxation — not the same thing as infeasible.
-         Record the downgrade and try the unguided packer, which needs
-         no LP at all. *)
-      note (lp_cut_reason s)
-        (Format.asprintf "per-context LP relaxation unusable (%a); unguided rounding"
-           Simplex.pp_status s);
-      try_rounding (fun _ _ -> 0.0)
-    | Simplex.Optimal sol -> (
-      (* Guide the rounding pass with the fractional relaxation. *)
-      let lp_value op pe =
-        match Ilp_model.var inst ~ctx ~op ~pe with
-        | Some v -> sol.Agingfp_lp.Simplex.values.(v)
-        | None -> 0.0
-      in
-      match try_rounding lp_value with
-      | Some mapping -> Some mapping
-      | None when Ilp_model.num_binaries inst > 2400 ->
-        (* On very large per-context models a failed attempt must stay
-           cheap (Algorithm 1 simply relaxes ST_target by Δ and retries,
-           and the refinement pass recovers leveling quality afterwards).
-           With presolve + warm-started nodes the B&B fallback is cheap
-           enough to double the eligibility threshold of the cold-solve
-           era. *)
-        None
-      | None -> (
-        match milp_params_for params ~budget machinery with
-        | None -> None
-        | Some milp_params -> (
-          (* Branch & bound re-solves an LP per node; keep the
-             per-context fallback budget small — Δ-relaxation plus
-             refinement recover quality more cheaply than deep
-             search. *)
-          let fallback_params =
-            { milp_params with Milp.node_limit = min milp_params.Milp.node_limit 24 }
+    | None -> (
+      match milp_params_for params ~budget machinery with
+      | None -> None
+      | Some milp_params -> (
+        (* Branch & bound re-solves an LP per node; keep the
+           per-context fallback budget small — Δ-relaxation plus
+           refinement recover quality more cheaply than deep
+           search. *)
+        let fallback_params =
+          { milp_params with Milp.node_limit = min milp_params.Milp.node_limit 24 }
+        in
+        let milp_result, milp_stats =
+          Milp.relax_and_fix_with_stats ~params:fallback_params lp_model
+        in
+        stats_note ~milp:true milp_stats;
+        if params.certify then
+          note_certificate ~kind:`Milp (Certify.result lp_model milp_result);
+        (match (milp_result, milp_stats.Milp.stop) with
+        | Milp.Feasible _, _ | _, Budget.Optimal -> ()
+        | _, reason -> note reason "per-context branch & bound cut short");
+        match milp_result with
+        | Milp.Feasible sol ->
+          let mapping =
+            Ilp_model.extract inst
+              ~values:(fun v -> sol.Agingfp_lp.Simplex.values.(v))
+              current
           in
-          let milp_result, milp_stats =
-            Milp.relax_and_fix_with_stats ~params:fallback_params lp_model
-          in
-          stats_note ~milp:true milp_stats;
-          if params.certify then
-            note_certificate ~kind:`Milp (Certify.result lp_model milp_result);
-          (match (milp_result, milp_stats.Milp.stop) with
-          | Milp.Feasible _, _ | _, Budget.Optimal -> ()
-          | _, reason -> note reason "per-context branch & bound cut short");
-          match milp_result with
-          | Milp.Feasible sol ->
-            let mapping =
-              Ilp_model.extract inst
-                ~values:(fun v -> sol.Agingfp_lp.Simplex.values.(v))
-                current
-            in
-            if not (paths_ok design mapping monitored ctx) then None
-            else begin
-              (* Commit the assigned stress. *)
-              let dfg = Design.context design ctx in
-              for op = 0 to Dfg.num_ops dfg - 1 do
-                if not (Candidates.is_frozen candidates ~ctx ~op) then begin
-                  let pe = Mapping.pe_of mapping ~ctx ~op in
-                  committed.(pe) <- committed.(pe) +. Stress.op_stress design ~ctx ~op
-                end
-              done;
-              Some mapping
-            end
-          | Milp.Infeasible | Milp.Unknown -> None)))
-  end
+          if not (paths_ok design mapping monitored ctx) then None
+          else begin
+            (* Commit the assigned stress. *)
+            let dfg = Design.context design ctx in
+            for op = 0 to Dfg.num_ops dfg - 1 do
+              if not (Candidates.is_frozen candidates ~ctx ~op) then begin
+                let pe = Mapping.pe_of mapping ~ctx ~op in
+                committed.(pe) <- committed.(pe) +. Stress.op_stress design ~ctx ~op
+              end
+            done;
+            Some mapping
+          end
+        | Milp.Infeasible | Milp.Unknown -> None)))
 
 (* ---------- whole-design attempt at one ST_target ---------- *)
 
@@ -593,12 +589,7 @@ let attempt ?cache ?(budget = Budget.unlimited) ?(machinery = Full_milp)
     in
     retry base_order 2
   in
-  if machinery = Heuristic then
-    (* LP-free rung: pure best-fit-decreasing packing over every
-       context — immune to any fault or budget pressure in the LP
-       layer. *)
-    round_all (fun _ _ _ -> 0.0)
-  else if monolithic then (
+  if monolithic then (
     let inst, lp_status =
       cached_lp_solve ~certify:params.certify ~budget ~stats_note
         ~get:(fun () -> cache.mono)
@@ -841,7 +832,7 @@ let solve_with_plan ?cache params design baseline ~budget ~baseline_cpd ~st_up ~
   (* One ladder rung: the Δ-relaxation loop restricted to [machinery],
      bounded by [rbudget]. [Error Budget.Optimal] means the loop ran
      to natural exhaustion — weaker LP-based machinery cannot do
-     better, so the ladder jumps to the LP-free rung. Any other
+     better, so the ladder jumps to the LP-free floor. Any other
      [Error] is a budget/fault cut that the next (cheaper) rung may
      survive. *)
   let run_rung machinery rbudget =
@@ -900,9 +891,39 @@ let solve_with_plan ?cache params design baseline ~budget ~baseline_cpd ~st_up ~
       cache := new_cache ();
       Error (Budget.Fault where)
   in
-  (* Refine + audit a rung's floorplan. A floorplan that fails its
-     audit is discarded and the ladder descends — the contract is
-     audited-or-baseline, never an unaudited "success". *)
+  let result_of rung ~st ~iters ~new_cpd ~improved audit mapping =
+    {
+      mapping;
+      st_target = st;
+      st_lower_bound = lb;
+      st_up;
+      outer_iterations = iters;
+      baseline_cpd_ns = baseline_cpd;
+      new_cpd_ns = new_cpd;
+      improved;
+      audit;
+      rung;
+      degradation = !trail;
+      gap = !gap_obs;
+      dual_bound = !dual_obs;
+      rung_stats = List.rev !milp_trail;
+    }
+  in
+  (* A floorplan that fails its audit at [st] is discarded and the
+     ladder descends — the contract is audited-or-baseline, never an
+     unaudited "success". *)
+  let audited rung ~st ~iters ~new_cpd mapping =
+    let audit = Audit.run design ~baseline_cpd ~st_target:st ~frozen ~monitored mapping in
+    if Audit.ok audit then
+      Some (result_of rung ~st ~iters ~new_cpd ~improved:true audit mapping)
+    else begin
+      Log.err (fun k -> k "%s: %a" (Design.name design) Audit.pp audit);
+      note_step rung (Budget.Fault "audit rejected floorplan")
+        "independent audit rejected the rung's floorplan";
+      None
+    end
+  in
+  (* Refine + audit an LP rung's floorplan. *)
   let finish rung (mapping, st, iters, new_cpd) =
     let mapping, new_cpd =
       if not params.refine || Budget.expired budget then (mapping, new_cpd)
@@ -919,36 +940,39 @@ let solve_with_plan ?cache params design baseline ~budget ~baseline_cpd ~st_up ~
         else (refined, Analysis.cpd design refined)
       end
     in
-    let audit = Audit.run design ~baseline_cpd ~st_target:st ~frozen ~monitored mapping in
-    if Audit.ok audit then
-      Some
-        {
-          mapping;
-          st_target = st;
-          st_lower_bound = lb;
-          st_up;
-          outer_iterations = iters;
-          baseline_cpd_ns = baseline_cpd;
-          new_cpd_ns = new_cpd;
-          improved = true;
-          audit;
-          rung;
-          degradation = !trail;
-          gap = !gap_obs;
-          dual_bound = !dual_obs;
-          rung_stats = List.rev !milp_trail;
-        }
-    else begin
-      Log.err (fun k -> k "%s: %a" (Design.name design) Audit.pp audit);
-      note_step rung (Budget.Fault "audit rejected floorplan")
-        "independent audit rejected the rung's floorplan";
+    audited rung ~st ~iters ~new_cpd mapping
+  in
+  (* The LP-free floor ([Heuristic]): the greedy refinement pass run
+     straight from the mode's reference, under whatever budget the
+     ladder has left — it polls that budget once per move. Its
+     floorplan counts only if the pass moved something, beat the
+     baseline's max stress and passes the audit at its own max stress;
+     otherwise the ladder ends at the baseline. *)
+  let refine_floor () =
+    let fail reason detail =
+      note_step Heuristic reason detail;
       None
+    in
+    if not params.refine then fail Budget.Optimal "refine floor disabled (refine = false)"
+    else begin
+      let mapping, stats =
+        Refine.improve ~params:params.refine_params ~budget design ~baseline_cpd ~frozen
+          ~monitored reference
+      in
+      let st = stats.Refine.st_after in
+      if stats.Refine.moves_accepted = 0 then
+        fail (Budget.status budget) "refine floor accepted no move"
+      else if st >= st_up -. 1e-9 then
+        fail Budget.Optimal "refine floor did not beat the baseline's max stress"
+      else audited Heuristic ~st ~iters:0 ~new_cpd:(Analysis.cpd design mapping) mapping
     end
   in
+  (* The LP rungs, each under 1/(rungs left) of the remaining budget,
+     the floor counting as the last rung. *)
   let rec descend = function
-    | [] -> None
+    | [] -> refine_floor ()
     | machinery :: rest -> (
-      let rungs_left = List.length rest + 1 in
+      let rungs_left = List.length rest + 2 in
       let rbudget =
         if Budget.is_unlimited budget then budget
         else Budget.slice budget ~fraction:(1.0 /. float_of_int rungs_left)
@@ -962,15 +986,15 @@ let solve_with_plan ?cache params design baseline ~budget ~baseline_cpd ~st_up ~
         note_step machinery Budget.Optimal
           "no delay-clean floorplan at any Δ-relaxed ST_target";
         (* Natural failure: every weaker LP-based rung solves a subset
-           of this rung's search, so only the LP-free packer — immune
+           of this rung's search, so only the LP-free floor — immune
            to a systematically lying LP layer — is still worth a
            try. *)
-        if machinery = Heuristic then None else descend [ Heuristic ]
+        refine_floor ()
       | Error reason ->
         note_step machinery reason "rung cut short; descending";
         descend rest)
   in
-  match descend [ Full_milp; Relax_and_fix; Lp_rounding; Heuristic ] with
+  match descend [ Full_milp; Relax_and_fix; Lp_rounding ] with
   | Some result -> result
   | None ->
     Log.warn (fun k ->
@@ -988,22 +1012,8 @@ let solve_with_plan ?cache params design baseline ~budget ~baseline_cpd ~st_up ~
     in
     if not (Audit.ok audit) then
       Log.err (fun k -> k "%s: %a" (Design.name design) Audit.pp audit);
-    {
-      mapping = baseline;
-      st_target = st_up;
-      st_lower_bound = lb;
-      st_up;
-      outer_iterations = params.max_outer;
-      baseline_cpd_ns = baseline_cpd;
-      new_cpd_ns = baseline_cpd;
-      improved = false;
-      audit;
-      rung = Baseline;
-      degradation = !trail;
-      gap = !gap_obs;
-      dual_bound = !dual_obs;
-      rung_stats = List.rev !milp_trail;
-    }
+    result_of Baseline ~st:st_up ~iters:params.max_outer ~new_cpd:baseline_cpd
+      ~improved:false audit baseline
 
 let run_mode ?warm params design baseline ~budget ~baseline_cpd ~st_up ~lb m =
   (* The reference floorplan: the baseline itself (Freeze), or each

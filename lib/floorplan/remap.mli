@@ -67,18 +67,25 @@ val default_params : params
     Every solve walks a fixed ladder of machineries, each under a
     slice of the remaining budget: the full two-step MILP, a
     node-capped relax-and-fix, LP-guided rounding without branch &
-    bound, an LP-free greedy packer, and finally the unmodified
+    bound, an LP-free refine floor, and finally the unmodified
     baseline mapping (always audit-clean, since its budget is the
-    baseline's own maximum stress). A rung is accepted only if its
-    floorplan passes the independent {!Audit}; the rung that produced
-    the returned mapping and every downgrade on the way are reported
-    in the {!result}. *)
+    baseline's own maximum stress). The LP rungs get 1/4, 1/3 and 1/2
+    of what is left when they start; the floor gets the rest, and is
+    also where a rung that exhausts its Δ-loop without a cut lands.
+    A rung is accepted only if its floorplan passes the independent
+    {!Audit}; the rung that produced the returned mapping and every
+    downgrade on the way are reported in the {!result}. *)
 
 type rung =
   | Full_milp      (** LP + structured rounding + two-step MILP, full node budget *)
   | Relax_and_fix  (** same, branch & bound node-capped hard *)
   | Lp_rounding    (** LP-guided structured rounding only *)
-  | Heuristic      (** best-fit-decreasing packing; no LP machinery at all *)
+  | Heuristic
+      (** the refine floor: {!Refine.improve} straight from the mode's
+          reference under the budget left, no LP machinery at all. It
+          counts only if it accepted a move, its max stress is below
+          [st_up] and it passes the audit at that max stress, which is
+          then its [st_target]. Off when [refine = false]. *)
   | Baseline       (** the input mapping, unchanged *)
 
 val pp_rung : Format.formatter -> rung -> unit

@@ -228,6 +228,58 @@ let test_candidates_distinct () =
     done
   done
 
+(* The array kernel against the list-based builder it replaced
+   (test/candidates_reference.ml): every set, frozen flag and radius
+   the same, on every Table-I design at generator seeds 0 and 1, for
+   the Step-1 setup (no pins, no paths, no cap) and for Freeze and
+   Rotate at caps 14, 5 and 0, plus an already-expired budget, whose
+   builds fall to radius 0 after the first budget poll. *)
+let test_candidates_match_reference () =
+  let expired = Agingfp_util.Budget.create ~allowance:0 () in
+  Array.iter
+    (fun spec ->
+      List.iter
+        (fun seed ->
+          let design = Benchmarks.generate ~seed spec in
+          let baseline = Placer.aging_unaware design in
+          let monitored = Paths.monitored design baseline in
+          let agree what ?budget max_candidates mapping ~frozen ~monitored =
+            let params = { Candidates.default_params with max_candidates } in
+            let fast = Candidates.build ?budget ~params design mapping ~frozen ~monitored in
+            let slow =
+              Candidates_reference.build ?budget ~params design mapping ~frozen ~monitored
+            in
+            for ctx = 0 to Design.num_contexts design - 1 do
+              for op = 0 to Dfg.num_ops (Design.context design ctx) - 1 do
+                if
+                  Candidates.get fast ~ctx ~op <> Candidates_reference.get slow ~ctx ~op
+                  || Candidates.is_frozen fast ~ctx ~op
+                     <> Candidates_reference.is_frozen slow ~ctx ~op
+                  || Candidates.radius fast ~ctx ~op
+                     <> Candidates_reference.radius slow ~ctx ~op
+                then
+                  Alcotest.failf "%s seed %d %s cap %d: context %d op %d differs"
+                    spec.Benchmarks.bname seed what max_candidates ctx op
+              done
+            done
+          in
+          agree "step1" 0 baseline ~frozen:(Array.make (Design.num_contexts design) [])
+            ~monitored:(Array.make (Design.num_contexts design) []);
+          List.iter
+            (fun (what, mode) ->
+              let reference, frozen =
+                Rotation.reference ~seed:Remap.default_params.Remap.seed mode design
+                  baseline
+              in
+              List.iter
+                (fun cap -> agree what cap reference ~frozen ~monitored)
+                [ 14; 5; 0 ];
+              if mode = Rotation.Rotate then
+                agree "rotate expired" ~budget:expired 14 reference ~frozen ~monitored)
+            [ ("freeze", Rotation.Freeze); ("rotate", Rotation.Rotate) ])
+        [ 0; 1 ])
+    Benchmarks.table1
+
 (* ---------- ILP model ---------- *)
 
 let test_model_feasible_at_st_up () =
@@ -418,17 +470,20 @@ let test_solve_both_freeze_matches_solve () =
 (* ---------- deadline honesty ---------- *)
 
 (* [Remap.solve ~mode:Rotate] (Step 1, then Freeze and Rotate) under a
-   0.6 s deadline, on a 16x16 design that closes at the root (B16), one
-   whose ladder the deadline cuts (B21) and a quick 8x8 one (B22). The
-   solve works to the deadline less its epilogue margin (5 %, 0.03 s)
-   and may then overrun it by at most one checkpoint interval: the time
-   between two budget polls plus the final audit. The slack allowed is
-   that margin plus a 20 ms checkpoint interval. Measured on a 2-core
-   host, with a second copy of the same runs competing for the cores,
-   the longest of 8 runs per design took 0.5706 s before [solve_both]
-   ran its modes concurrently and 0.5703 s after (B21; B16 and B22
-   finish in under 0.06 s): the overrun of the working deadline was
-   under 1 ms, so 20 ms leaves room for a loaded host. *)
+   0.6 s deadline, on a 16x16 design that closes at the root (B16), a
+   quick 8x8 one (B22), and three whose LP rungs the deadline cuts
+   (B21, B6, B24): those three came back as the baseline while the
+   ladder ended in best-fit packing, and the refine floor must now
+   improve them. The solve works to the deadline less its epilogue
+   margin (5 %, 0.03 s) and may then overrun it by at most one
+   checkpoint interval: the time between two budget polls plus the
+   final audit. The slack allowed is that margin plus a 20 ms
+   checkpoint interval. Measured on a 2-core host, with a second copy
+   of the same runs competing for the cores, the longest of 8 runs per
+   design took 0.5706 s before [solve_both] ran its modes concurrently
+   and 0.5703 s after (B21; B16 and B22 finish in under 0.06 s): the
+   overrun of the working deadline was under 1 ms, so 20 ms leaves room
+   for a loaded host. *)
 let test_rotate_deadline_honest () =
   let deadline = 0.6 in
   let margin = 0.03 and checkpoint = 0.02 in
@@ -443,8 +498,28 @@ let test_rotate_deadline_honest () =
         (Printf.sprintf "%s took %.4f s against a %.1f s deadline" name elapsed deadline)
         true
         (elapsed <= deadline +. margin +. checkpoint);
-      Alcotest.(check bool) (name ^ " audit clean") true (Audit.ok r.Remap.audit))
-    [ "B16"; "B21"; "B22" ]
+      Alcotest.(check bool) (name ^ " audit clean") true (Audit.ok r.Remap.audit);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s improved (rung %s)" name (Remap.rung_to_string r.Remap.rung))
+        true r.Remap.improved)
+    [ "B16"; "B21"; "B22"; "B6"; "B24" ]
+
+(* With [refine = false] the floor is off: a deadline that cuts every
+   LP rung (0.1 s on B21) leaves the audited baseline, and the trail
+   says why the floor did not run. *)
+let test_deadline_without_floor_is_baseline () =
+  let design, baseline = bench_placed "B21" in
+  let params =
+    { Remap.default_params with Remap.deadline_s = Some 0.1; refine = false }
+  in
+  let r = Remap.solve ~params ~mode:Rotation.Rotate design baseline in
+  Alcotest.(check string) "rung" "baseline" (Remap.rung_to_string r.Remap.rung);
+  Alcotest.(check bool) "not improved" false r.Remap.improved;
+  Alcotest.(check bool) "audit clean" true (Audit.ok r.Remap.audit);
+  Alcotest.(check bool) "floor noted in the trail" true
+    (List.exists
+       (fun (s : Remap.degradation_step) -> s.Remap.rung = Remap.Heuristic)
+       r.Remap.degradation)
 
 (* ---------- naive strawman ---------- *)
 
@@ -1002,6 +1077,8 @@ let () =
             test_candidates_contain_reference_position;
           Alcotest.test_case "cap respected" `Quick test_candidates_capped;
           Alcotest.test_case "no duplicates" `Quick test_candidates_distinct;
+          Alcotest.test_case "array kernel matches the list reference" `Quick
+            test_candidates_match_reference;
         ] );
       ( "ilp-model",
         [
@@ -1032,7 +1109,11 @@ let () =
             test_solve_both_freeze_matches_solve;
         ] );
       ( "deadline",
-        [ Alcotest.test_case "rotate within 0.6 s" `Quick test_rotate_deadline_honest ] );
+        [
+          Alcotest.test_case "rotate within 0.6 s" `Quick test_rotate_deadline_honest;
+          Alcotest.test_case "no floor without refine" `Quick
+            test_deadline_without_floor_is_baseline;
+        ] );
       ( "naive",
         [
           Alcotest.test_case "levels but valid" `Quick test_naive_levels_but_valid;
