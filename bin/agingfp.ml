@@ -156,9 +156,6 @@ let solver_stats_table () =
       row "B&B nodes" s.Milp.nodes;
       (* A gap is only meaningful once a tree search actually ran. *)
       frow "optimality gap (worst)" (if s.Milp.nodes = 0 then nan else s.Milp.gap);
-      row "cuts separated" s.Milp.cuts_separated;
-      row "cuts active" s.Milp.cuts_active;
-      row "cuts aged out" s.Milp.cuts_aged_out;
       row "heuristic incumbents" s.Milp.heuristic_incumbents;
       row "warm LP solves" s.Milp.warm_solves;
       row "cold LP solves" s.Milp.cold_solves;
@@ -252,10 +249,10 @@ let cmd_remap benchmark source dim mode_s quiet design_file save_design save_flo
       List.iter
         (fun (rung, (s : Milp.stats)) ->
           Format.printf
-            "  - %a: %d nodes, %d LP iterations (%d warm + %d cold solves, %d cuts, \
+            "  - %a: %d nodes, %d LP iterations (%d warm + %d cold solves, \
              %d heuristic incumbents)@."
             Remap.pp_rung rung s.Milp.nodes s.Milp.lp_iterations s.Milp.warm_solves
-            s.Milp.cold_solves s.Milp.cuts_separated s.Milp.heuristic_incumbents)
+            s.Milp.cold_solves s.Milp.heuristic_incumbents)
         entries);
     (match r.Remap.degradation with
     | [] -> ()
@@ -319,9 +316,6 @@ let cmd_suite jobs quick deadline =
     let nodes r =
       List.fold_left (fun acc (_, s) -> acc + s.Milp.nodes) 0 r.Remap.rung_stats
     in
-    let cuts r =
-      List.fold_left (fun acc (_, s) -> acc + s.Milp.cuts_separated) 0 r.Remap.rung_stats
-    in
     let heur r =
       List.fold_left
         (fun acc (_, s) -> acc + s.Milp.heuristic_incumbents)
@@ -333,7 +327,6 @@ let cmd_suite jobs quick deadline =
       rotate_res.Remap.rung,
       rotate_res.Remap.gap,
       nodes freeze_res + nodes rotate_res,
-      cuts freeze_res + cuts rotate_res,
       heur freeze_res + heur rotate_res,
       secs,
       Audit.ok freeze_res.Remap.audit && Audit.ok rotate_res.Remap.audit )
@@ -348,7 +341,7 @@ let cmd_suite jobs quick deadline =
   set_diag "report";
   let rows =
     List.map
-      (fun ((spec : Benchmarks.spec), fr, rr, rung, gap, nodes, cuts, heur, secs, ok) ->
+      (fun ((spec : Benchmarks.spec), fr, rr, rung, gap, nodes, heur, secs, ok) ->
         [|
           spec.Benchmarks.bname;
           Printf.sprintf "%.2fx" fr;
@@ -358,7 +351,6 @@ let cmd_suite jobs quick deadline =
           Format.asprintf "%a" Remap.pp_rung rung;
           (if Float.is_nan gap then "-" else Printf.sprintf "%.3g" gap);
           string_of_int nodes;
-          string_of_int cuts;
           string_of_int heur;
           Printf.sprintf "%.2f" secs;
           (if ok then "ok" else "FAILED");
@@ -369,13 +361,13 @@ let cmd_suite jobs quick deadline =
     (Ascii_table.render
        ~header:
          [|
-           "name"; "freeze"; "paper"; "rotate"; "paper"; "rung"; "gap"; "nodes"; "cuts";
-           "heur"; "sec"; "audit";
+           "name"; "freeze"; "paper"; "rotate"; "paper"; "rung"; "gap"; "nodes"; "heur";
+           "sec"; "audit";
          |]
        rows);
   Printf.printf "%d benchmarks in %.2f s with --jobs %d\n" (List.length results) wall_s
     jobs;
-  if List.for_all (fun (_, _, _, _, _, _, _, _, _, ok) -> ok) results then 0 else 1
+  if List.for_all (fun (_, _, _, _, _, _, _, _, ok) -> ok) results then 0 else 1
 
 let cmd_heatmap benchmark source dim mode_s =
   match (load_design benchmark source dim, mode_of_string mode_s) with

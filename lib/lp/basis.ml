@@ -34,8 +34,8 @@ type impl =
   | S of Lu.t
 
 type t = {
-  mutable m : int;
-  mutable impl : impl;
+  m : int;
+  impl : impl;
   mutable n_factor : int;
   mutable n_eta : int;          (* updates since the last factorize *)
   mutable total_eta : int;
@@ -56,29 +56,6 @@ let create kind m =
     factored = false }
 
 let kind t = match t.impl with D _ -> Dense | S _ -> Sparse_lu
-let dim t = t.m
-
-(* Grow (or shrink) the basis dimension in place. The live factors are
-   invalidated — the owner must [factorize] before the next solve —
-   but the lifetime counters survive, so [Simplex.state_stats] keeps
-   accounting across cut-row appends. *)
-let resize t m' =
-  if m' < 0 then Invariant.invalid ~where:"Basis.resize" "negative dimension";
-  if m' <> t.m then begin
-    (match t.impl with
-    | D { binv; _ } ->
-      let cap = Array.length binv in
-      if m' > cap then begin
-        let cap' = max m' (2 * cap) in
-        t.impl <-
-          D { binv = Array.make_matrix cap' cap' 0.0; scratch = Array.make cap' 0.0 }
-      end
-    | S _ -> t.impl <- S (Lu.create m'));
-    t.m <- m';
-    t.n_eta <- 0;
-    t.last_fill <- 0;
-    t.factored <- false
-  end
 
 (* ---------- dense reference implementation ---------- *)
 

@@ -28,15 +28,6 @@ val create : kind -> int -> t
 (** [create kind m] for an [m]-row basis. No factorization yet. *)
 
 val kind : t -> kind
-val dim : t -> int
-
-val resize : t -> int -> unit
-(** [resize t m'] changes the basis dimension in place — the cut
-    separator appends rows to a live state and needs the kernel to
-    follow. Any live factorization is invalidated (the owner must call
-    {!factorize} before the next ftran/btran); the lifetime counters
-    are preserved so solver statistics stay cumulative. No-op when the
-    dimension is unchanged. *)
 
 val factorize : t -> col:(int -> int array * float array) -> unit
 (** [factorize t ~col] factors the basis whose position [i] holds the
@@ -44,8 +35,7 @@ val factorize : t -> col:(int -> int array * float array) -> unit
     @raise Singular, leaving the kernel unfactored. *)
 
 val is_factored : t -> bool
-(** The last {!factorize} succeeded and no {!resize} followed: the
-    solves may run. *)
+(** The last {!factorize} succeeded: the solves may run. *)
 
 val ftran : t -> float array -> unit
 (** In place: row-space vector in, [B⁻¹ v] in basis-position space

@@ -115,39 +115,6 @@ let solution ?(tol = 1e-6) ?(relaxation = false) model (sol : Simplex.solution) 
     match List.rev !viols with [] -> Certified | vs -> Rejected vs
   end
 
-(* Cutting planes claim validity for the integer hull: any
-   integer-feasible point — in particular the incumbent — must satisfy
-   every cut ever admitted, active or aged out. The evaluation below is
-   exact and independent of the float arithmetic the separators used;
-   [tol] only relaxes the final comparison, exactly as in {!solution}. *)
-let cuts ?(tol = 1e-6) pool (sol : Simplex.solution) =
-  let viols = ref [] in
-  let add m = viols := m :: !viols in
-  let tolq = q tol in
-  for id = 0 to Cuts.size pool - 1 do
-    let c = Cuts.get pool id in
-    let out_of_range =
-      List.exists (fun (v, _) -> v < 0 || v >= Array.length sol.values) c.Cuts.terms
-    in
-    if out_of_range then
-      add (Printf.sprintf "cut %d references a variable outside the solution" id)
-    else if
-      List.exists (fun (v, _) -> not (Float.is_finite sol.values.(v))) c.Cuts.terms
-    then add (Printf.sprintf "cut %d is evaluated at a non-finite value" id)
-    else begin
-      let lhs =
-        List.fold_left
-          (fun acc (v, coef) -> Rat.add acc (Rat.mul (q coef) (q sol.values.(v))))
-          Rat.zero c.Cuts.terms
-      in
-      if Rat.compare lhs (Rat.add (q c.Cuts.rhs) tolq) > 0 then
-        add
-          (Format.asprintf "cut %d (%a): exact activity %s exceeds rhs %.17g" id
-             Cuts.pp_provenance c.Cuts.provenance (Rat.to_string lhs) c.Cuts.rhs)
-    end
-  done;
-  match List.rev !viols with [] -> Certified | vs -> Rejected vs
-
 (* Exact activity range of [terms] over the variable box; [None] means
    unbounded in that direction (or a NaN bound made it unknowable). *)
 let exact_activity model terms =

@@ -30,17 +30,6 @@ val solution :
     objective with the exact re-evaluation. [tol] defaults to the
     solver's feasibility tolerance [1e-6]. *)
 
-val cuts : ?tol:float -> Cuts.pool -> Simplex.solution -> verdict
-(** Certify a claimed integer-feasible point against every cut the
-    pool ever admitted — active or aged out; validity does not expire
-    with pool activity. Each cut [Σ c_v·x_v <= rhs] is evaluated in
-    exact rational arithmetic, independently of the float arithmetic
-    the separators used; a violation beyond [tol] (default [1e-6]) is
-    reported with the cut's provenance (the tableau row or model row
-    it came from). Expects the point in the same variable space the
-    pool was built in (the presolved model for pools from
-    {!Milp.solve}). *)
-
 val result : ?tol:float -> Model.t -> Milp.result -> verdict
 (** Certify a {!Milp.result}. [Feasible] delegates to {!solution};
     [Infeasible] is accepted only when a single-row bound certificate

@@ -2,7 +2,6 @@ let src = Logs.Src.create "agingfp.milp" ~doc:"Branch and bound MILP"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 module Budget = Agingfp_util.Budget
-module Invariant = Agingfp_util.Invariant
 
 type result = Feasible of Simplex.solution | Infeasible | Unknown
 
@@ -14,7 +13,6 @@ type params = {
   presolve : bool;
   warm_start : bool;
   budget : Budget.t;
-  cuts : bool;
   heuristics : bool;
 }
 
@@ -27,7 +25,6 @@ let default_params =
     presolve = true;
     warm_start = true;
     budget = Budget.unlimited;
-    cuts = true;
     heuristics = true;
   }
 
@@ -47,9 +44,7 @@ type stats = {
   stop : Budget.stop_reason;
   cuts_separated : int;
   cuts_active : int;
-  cuts_aged_out : int;
   heuristic_incumbents : int;
-  root_gap_closed : float;
 }
 
 let zero_stats =
@@ -69,9 +64,7 @@ let zero_stats =
     stop = Budget.Optimal;
     cuts_separated = 0;
     cuts_active = 0;
-    cuts_aged_out = 0;
     heuristic_incumbents = 0;
-    root_gap_closed = Float.nan;
   }
 
 let worst_stop = Budget.worst
@@ -97,31 +90,25 @@ let add_stats a b =
     stop = worst_stop a.stop b.stop;
     cuts_separated = a.cuts_separated + b.cuts_separated;
     cuts_active = a.cuts_active + b.cuts_active;
-    cuts_aged_out = a.cuts_aged_out + b.cuts_aged_out;
     heuristic_incumbents = a.heuristic_incumbents + b.heuristic_incumbents;
-    (* Like dual_bound: per-model, keep the most recent solve's. *)
-    root_gap_closed =
-      (if Float.is_nan b.root_gap_closed then a.root_gap_closed else b.root_gap_closed);
   }
 
 let pp_stats ppf s =
   Format.fprintf ppf
     "%d nodes, %d warm / %d cold LP solves (%d warm fallbacks), %d LP iterations, \
-     gap %g (dual bound %g), stop %a; cuts: %d separated, %d active, %d aged out \
-     (root gap closed %g); heuristics: %d incumbents; kernel: %d refactorizations \
-     (%d drift), %d eta updates, peak fill %d; presolve: %a"
+     gap %g (dual bound %g), stop %a; heuristics: %d incumbents; kernel: %d \
+     refactorizations (%d drift), %d eta updates, peak fill %d; presolve: %a"
     s.nodes s.warm_solves s.cold_solves s.warm_fallbacks s.lp_iterations s.gap s.dual_bound
-    Budget.pp_stop_reason s.stop s.cuts_separated s.cuts_active s.cuts_aged_out
-    s.root_gap_closed s.heuristic_incumbents s.refactorizations s.drift_refreshes
-    s.eta_updates s.fill_in Presolve.pp_reductions s.presolve
+    Budget.pp_stop_reason s.stop s.heuristic_incumbents s.refactorizations
+    s.drift_refreshes s.eta_updates s.fill_in Presolve.pp_reductions s.presolve
 
 (* Cumulative counters across all solves since the last reset — the
    remap pipeline runs many MILPs/LPs per floorplan, and the CLI
    [--stats] flag and benches report the aggregate. A remap's Freeze
    and Rotate runs accumulate from two domains at once, hence the
    mutex. The aggregate keeps only what does not depend on the order
-   solves finish in: the per-model [dual_bound] and [root_gap_closed]
-   ("the most recent solve's") stay [nan] here. *)
+   solves finish in: the per-model [dual_bound] ("the most recent
+   solve's") stays [nan] here. *)
 let cum = ref zero_stats
 let cum_mutex = Mutex.create ()
 
@@ -132,7 +119,7 @@ let with_cum f =
 let reset_cumulative () = with_cum (fun () -> cum := zero_stats)
 let cumulative () = with_cum (fun () -> !cum)
 let accumulate s =
-  let s = { s with dual_bound = Float.nan; root_gap_closed = Float.nan } in
+  let s = { s with dual_bound = Float.nan } in
   with_cum (fun () -> cum := add_stats !cum s)
 
 let note_lp_solve ?(warm_fallbacks = 0) ?(refactorizations = 0) ?(eta_updates = 0)
@@ -166,12 +153,6 @@ let solution_sign dir = match dir with Model.Minimize -> 1.0 | Model.Maximize ->
 let strong_branch_depth = 2
 let strong_branch_width = 4
 
-(* Cut separation rounds at the root, and per tree node at depth up to
-   [cut_node_depth]. *)
-let cut_rounds_root = 10
-let cut_rounds_node = 2
-let cut_node_depth = 4
-
 (* Relative optimality gap of [primal] against [dual], both in
    minimize-sign space. [infinity] while nothing is proven (the root
    is still open), [0] once the tree is drained. *)
@@ -201,32 +182,6 @@ let tree_search ~params ~sign ~int_vars ~lp_params model =
   let n_vars = Model.num_vars model in
   let root_lb = Array.init n_vars (Model.var_lb model) in
   let root_ub = Array.init n_vars (Model.var_ub model) in
-  (* Cutting-plane infrastructure. The pool and every Gomory shift see
-     only ROOT (presolved) bounds, never node-tightened branching
-     bounds, so each admitted cut is valid for the whole tree. *)
-  let cuts_on = params.cuts && int_vars <> [] in
-  let pool = Cuts.create_pool () in
-  let base_rows = Model.num_constraints model in
-  let int_mark = Array.make (max 1 n_vars) false in
-  List.iter (fun v -> int_mark.(v) <- true) int_vars;
-  let is_binary v = int_mark.(v) && root_lb.(v) >= -1e-9 && root_ub.(v) <= 1.0 +. 1e-9 in
-  let model_terms = Array.make (max 1 base_rows) [] in
-  let model_rel = Array.make (max 1 base_rows) Model.Le in
-  let model_rhs = Array.make (max 1 base_rows) 0.0 in
-  for i = 0 to base_rows - 1 do
-    let lhs, rel, rhs = Model.constraint_row model i in
-    model_terms.(i) <- Expr.terms lhs;
-    model_rel.(i) <- rel;
-    model_rhs.(i) <- rhs
-  done;
-  let cover_rows =
-    List.init base_rows (fun i -> (i, model_terms.(i), model_rel.(i), model_rhs.(i)))
-  in
-  (* Root-phase bookkeeping for the gap-closed statistic: sign-space
-     root objective before the first separation round and after the
-     last one. *)
-  let root_obj0 = ref None in
-  let root_obj1 = ref None in
   let heur_found = ref 0 in
   let heur_on = params.heuristics && int_vars <> [] in
   let store = Node_store.create () in
@@ -283,86 +238,9 @@ let tree_search ~params ~sign ~int_vars ~lp_params model =
       | None -> None
   in
   let node_model = Model.copy model in
-  let extra_rows = if cuts_on then Cuts.max_cuts else 0 in
-  let st = Simplex.assemble ~params:lp_params ~extra_rows node_model in
+  let st = Simplex.assemble ~params:lp_params node_model in
   let solved_once = ref false in
   let applied = ref [] in
-  (* Cut [id] lives at row [base_rows + id] of [st]: cuts are
-     append-only and applied in id order. [enforced] tracks which of
-     those rows [st] currently enforces. *)
-  let enforced = Array.make (max 1 extra_rows) true in
-  let n_cuts = ref 0 in
-  (* Append the pool's cuts that [st] does not hold yet, then follow
-     any activity flips from pool aging. *)
-  let sync_cuts () =
-    if cuts_on then begin
-      let k = Cuts.size pool in
-      for id = !n_cuts to k - 1 do
-        let c = Cuts.get pool id in
-        ignore (Simplex.add_row st ~terms:c.Cuts.terms ~rel:Model.Le ~rhs:c.Cuts.rhs);
-        enforced.(id) <- true
-      done;
-      n_cuts := k;
-      for id = 0 to k - 1 do
-        let want = Cuts.is_active pool id in
-        if want <> enforced.(id) then begin
-          Simplex.set_row_enforced st (base_rows + id) want;
-          enforced.(id) <- want
-        end
-      done
-    end
-  in
-  let row_terms i =
-    if i < base_rows then model_terms.(i) else (Cuts.get pool (i - base_rows)).Cuts.terms
-  in
-  let row_rhs i =
-    if i < base_rows then model_rhs.(i) else (Cuts.get pool (i - base_rows)).Cuts.rhs
-  in
-  let row_rel i = if i < base_rows then model_rel.(i) else Model.Le in
-  (* One separation round at the current optimum: collect violated
-     Gomory and cover candidates, offer the most violated to the pool,
-     then append whatever the pool admitted. Returns the number of rows
-     added to [st]. *)
-  let separate_round (sol : Simplex.solution) =
-    let before = !n_cuts in
-    let gom =
-      Cuts.separate_gomory ~st
-        ~is_int:(fun v -> int_mark.(v))
-        ~global_lb:root_lb ~global_ub:root_ub ~row_terms ~row_rhs ~row_rel
-    in
-    let cov =
-      Cuts.separate_cover ~model_rows:cover_rows ~is_binary ~global_lb:root_lb
-        ~global_ub:root_ub ~values:sol.Simplex.values
-    in
-    let cands =
-      List.filteri
-        (fun i _ -> i < Cuts.max_per_round)
-        (List.stable_sort
-           (fun (_, _, _, va) (_, _, _, vb) -> Float.compare vb va)
-           (gom @ cov))
-    in
-    List.iter
-      (fun (provenance, terms, rhs, _) -> ignore (Cuts.admit pool ~provenance ~terms ~rhs))
-      cands;
-    sync_cuts ();
-    !n_cuts - before
-  in
-  (* Separation rounds: append violated cuts, dual-simplex repair on
-     the warm basis, repeat. [Infeasible] is a sound node closure —
-     every pooled cut is valid for the integer hull, so a
-     cut-infeasible LP contains no integer point. Any other
-     non-optimal status keeps the previous (weaker but still valid)
-     relaxation optimum; the stale rows stay harmlessly enforced. *)
-  let rec cut_loop rounds (sol : Simplex.solution) =
-    if rounds <= 0 || Budget.expired params.budget then Some sol
-    else if separate_round sol = 0 then Some sol
-    else
-      match Simplex.reoptimize st with
-      | Simplex.Optimal sol' -> cut_loop (rounds - 1) sol'
-      | Simplex.Infeasible -> None
-      | Simplex.Unbounded | Simplex.Iteration_limit | Simplex.Deadline
-      | Simplex.Fault _ -> Some sol
-  in
   (* Root primal heuristics (diving + feasibility pump) on the search's
      solver state, under a sliced budget. Outcomes have already passed
      Model.check_feasible; install whichever beat the incumbent. *)
@@ -437,8 +315,6 @@ let tree_search ~params ~sign ~int_vars ~lp_params model =
   in
   let process (n : Node_store.node) =
     enter n;
-    (* Pick up activity flips from pool aging since the last node. *)
-    sync_cuts ();
     let status =
       if (not !solved_once) || not params.warm_start then Simplex.solve_state st
       else Simplex.reoptimize st
@@ -455,103 +331,81 @@ let tree_search ~params ~sign ~int_vars ~lp_params model =
       (* A faulted solver state cannot be trusted for siblings; stop
          the whole search and keep the incumbent found so far. *)
       give_up (Budget.Fault msg)
-    | Simplex.Optimal sol0 -> (
-      let at_root = n.Node_store.depth = 0 in
-      if at_root then begin
-        if !root_obj0 = None then root_obj0 := Some (sign *. sol0.objective);
-        (* In feasibility mode (first_solution) the incumbent IS the
-           goal: pump/dive straight away and skip the dual-bound work
-           below if something lands. *)
-        if params.first_solution then run_root_heuristics sol0
-      end;
-      let rounds =
-        if (not cuts_on) || !halt then 0
-        else if at_root then cut_rounds_root
-        else if n.Node_store.depth <= cut_node_depth then cut_rounds_node
-        else 0
+    | Simplex.Optimal sol -> (
+      (* In feasibility mode (first_solution) the incumbent IS the
+         goal: an incumbent from the root pump/dive ends the search. *)
+      if n.Node_store.depth = 0 then run_root_heuristics sol;
+      let obj = sign *. sol.objective in
+      let candidates =
+        Brancher.fractional ~integrality_tol:params.integrality_tol int_vars
+          sol.Simplex.values
       in
-      match cut_loop rounds sol0 with
-      | None ->
-        (* The cut rows made this node's LP infeasible: since pooled
-           cuts are globally valid, the node holds no integer point. *)
-        Node_store.finish store
-      | Some sol -> (
-        if at_root then begin
-          root_obj1 := Some (sign *. sol.objective);
-          if not params.first_solution then run_root_heuristics sol
-        end;
-        if cuts_on && !n_cuts > 0 then Cuts.observe pool (fun v -> sol.Simplex.values.(v));
-        let obj = sign *. sol.objective in
-        let candidates =
-          Brancher.fractional ~integrality_tol:params.integrality_tol int_vars
-            sol.Simplex.values
-        in
-        (* This node's own relaxation is one free pseudocost
-           observation of the branching that created it. *)
-        (match n.Node_store.branch with
-        | Some b when Float.is_finite n.Node_store.bound ->
-          Brancher.observe brancher ~var:b.Node_store.var ~dir:b.Node_store.dir
-            ~frac:b.Node_store.frac ~delta:(obj -. n.Node_store.bound)
-        | _ -> ());
-        if not (better sol.objective) then Node_store.finish store
-        else
-          match candidates with
-          | [] ->
-            incumbent := Some { sol with Simplex.values = Array.copy sol.values };
-            if params.first_solution then halt := true;
-            Node_store.finish store
-          | _ :: _ -> (
-            (* Probes pay off only when the dual bound matters: a
-               feasibility dive (first_solution) skips them. *)
-            let probes =
-              if params.first_solution || n.Node_store.depth >= strong_branch_depth then []
-              else
-                List.filteri
-                  (fun i _ -> i < strong_branch_width)
-                  (List.filter
-                     (fun (v, _) -> Brancher.unreliable brancher ~var:v)
-                     candidates)
-            in
-            List.iter
-              (fun (v, x) ->
-                let obs dir frac =
-                  match probe ~sol v dir with
-                  | Some delta -> Brancher.observe brancher ~var:v ~dir ~frac ~delta
-                  | None -> ()
-                in
-                let fdown = x -. floor x in
-                (* Up first: each probe leaves the basis the next one
-                   re-optimizes from. *)
-                obs Node_store.Up (1.0 -. fdown);
-                obs Node_store.Down fdown)
-              probes;
-            match Brancher.select brancher candidates with
-            | None -> Node_store.finish store (* unreachable: candidates <> [] *)
-            | Some v ->
-              let x = sol.Simplex.values.(v) in
-              let lb = Model.var_lb node_model v and ub = Model.var_ub node_model v in
-              let fdown = x -. floor x in
-              let child dir fix frac =
-                ignore
-                  (Node_store.add store ~parent:n.Node_store.id
-                     ~depth:(n.Node_store.depth + 1) ~bound:obj
-                     ~fixes:(fix :: n.Node_store.fixes)
-                     ~branch:(Some { Node_store.var = v; dir; frac }))
+      (* This node's own relaxation is one free pseudocost
+         observation of the branching that created it. *)
+      (match n.Node_store.branch with
+      | Some b when Float.is_finite n.Node_store.bound ->
+        Brancher.observe brancher ~var:b.Node_store.var ~dir:b.Node_store.dir
+          ~frac:b.Node_store.frac ~delta:(obj -. n.Node_store.bound)
+      | _ -> ());
+      if not (better sol.objective) then Node_store.finish store
+      else
+        match candidates with
+        | [] ->
+          incumbent := Some { sol with Simplex.values = Array.copy sol.values };
+          if params.first_solution then halt := true;
+          Node_store.finish store
+        | _ :: _ -> (
+          (* Probes pay off only when the dual bound matters: a
+             feasibility dive (first_solution) skips them. *)
+          let probes =
+            if params.first_solution || n.Node_store.depth >= strong_branch_depth then []
+            else
+              List.filteri
+                (fun i _ -> i < strong_branch_width)
+                (List.filter
+                   (fun (v, _) -> Brancher.unreliable brancher ~var:v)
+                   candidates)
+          in
+          List.iter
+            (fun (v, x) ->
+              let obs dir frac =
+                match probe ~sol v dir with
+                | Some delta -> Brancher.observe brancher ~var:v ~dir ~frac ~delta
+                | None -> ()
               in
-              let down_fix = (v, lb, Float.of_int (int_of_float (floor x))) in
-              let up_fix = (v, Float.of_int (int_of_float (ceil x)), ub) in
-              (* Far child first, near child second: the near child
-                 gets the larger id, so the LIFO plunge explores the
-                 child nearest the relaxed value first. *)
-              if fdown > 0.5 then begin
-                child Node_store.Down down_fix fdown;
-                child Node_store.Up up_fix (1.0 -. fdown)
-              end
-              else begin
-                child Node_store.Up up_fix (1.0 -. fdown);
-                child Node_store.Down down_fix fdown
-              end;
-              Node_store.finish store)))
+              let fdown = x -. floor x in
+              (* Up first: each probe leaves the basis the next one
+                 re-optimizes from. *)
+              obs Node_store.Up (1.0 -. fdown);
+              obs Node_store.Down fdown)
+            probes;
+          match Brancher.select brancher candidates with
+          | None -> Node_store.finish store (* unreachable: candidates <> [] *)
+          | Some v ->
+            let x = sol.Simplex.values.(v) in
+            let lb = Model.var_lb node_model v and ub = Model.var_ub node_model v in
+            let fdown = x -. floor x in
+            let child dir fix frac =
+              ignore
+                (Node_store.add store ~parent:n.Node_store.id
+                   ~depth:(n.Node_store.depth + 1) ~bound:obj
+                   ~fixes:(fix :: n.Node_store.fixes)
+                   ~branch:(Some { Node_store.var = v; dir; frac }))
+            in
+            let down_fix = (v, lb, Float.of_int (int_of_float (floor x))) in
+            let up_fix = (v, Float.of_int (int_of_float (ceil x)), ub) in
+            (* Far child first, near child second: the near child
+               gets the larger id, so the LIFO plunge explores the
+               child nearest the relaxed value first. *)
+            if fdown > 0.5 then begin
+              child Node_store.Down down_fix fdown;
+              child Node_store.Up up_fix (1.0 -. fdown)
+            end
+            else begin
+              child Node_store.Up up_fix (1.0 -. fdown);
+              child Node_store.Down down_fix fdown
+            end;
+            Node_store.finish store))
   in
   let rec loop () =
     match take () with
@@ -578,35 +432,6 @@ let tree_search ~params ~sign ~int_vars ~lp_params model =
     | Some s -> rel_gap ~primal:(sign *. s.objective) ~dual:dual_sign
   in
   let kernel = Simplex.state_stats st in
-  (* Audit-grade guarantee: the incumbent must satisfy every cut ever
-     admitted — active or aged out — exactly, in rational arithmetic.
-     A violation means a separation bug produced an invalid inequality
-     and the "optimum" cannot be trusted; fail loudly with the cut's
-     provenance rather than return it. *)
-  (match !incumbent with
-  | Some (s : Simplex.solution) when cuts_on && Cuts.size pool > 0 ->
-    let vals = Array.copy s.Simplex.values in
-    List.iter (fun v -> vals.(v) <- Float.round vals.(v)) int_vars;
-    (match Cuts.check_all pool (fun v -> vals.(v)) with
-    | Ok () -> ()
-    | Error msg ->
-      Invariant.fail ~where:"Milp.tree_search" "incumbent violates pooled cut: %s" msg)
-  | _ -> ());
-  let pstats = Cuts.pool_stats pool in
-  let root_gap_closed =
-    match (!root_obj0, !root_obj1, !incumbent) with
-    | Some o0, Some o1, Some (s : Simplex.solution) when cuts_on ->
-      let denom = (sign *. s.objective) -. o0 in
-      if denom > 1e-9 then begin
-        (* Clamp rounding noise only: a genuinely negative ratio would
-           mean separation LOOSENED the relaxation, which valid cut
-           rows cannot do — let it surface instead of hiding it. *)
-        let r = (o1 -. o0) /. denom in
-        if r < 0.0 && r > -1e-9 then 0.0 else Float.min 1.0 r
-      end
-      else Float.nan
-    | _ -> Float.nan
-  in
   ( !incumbent,
     !budget_hit,
     {
@@ -623,11 +448,7 @@ let tree_search ~params ~sign ~int_vars ~lp_params model =
       stop = !stop;
       dual_bound = sign *. dual_sign;
       gap;
-      cuts_separated = pstats.Cuts.separated;
-      cuts_active = pstats.Cuts.active;
-      cuts_aged_out = pstats.Cuts.aged_out;
       heuristic_incumbents = !heur_found;
-      root_gap_closed;
     } )
 
 (* The presolve step of a solve: [Error msg] when presolve proves

@@ -5,7 +5,8 @@
     node selection (dive depth first, jump to the best dual bound when
     the dive dies), pseudocost branching seeded by strong-branching
     probes ({!Brancher}), and a global dual bound maintained as the
-    minimum over open nodes.
+    minimum over open nodes. Root primal heuristics ({!Heuristics})
+    may seed the incumbent before the first branching.
 
     Two entry points:
 
@@ -59,27 +60,14 @@ type params = {
           [lp_params.budget] when not unlimited). On expiry the search
           stops and returns the best incumbent found so far. Default
           {!Agingfp_util.Budget.unlimited}. *)
-  cuts : bool;
-      (** Cutting-plane separation ({!Cuts}): Gomory mixed-integer
-          cuts from the warm tableau plus lifted knapsack covers,
-          managed by a cut pool with activity aging. Rounds run
-          at the root and at shallow tree nodes; every admitted cut is
-          valid for the integer hull of the presolved model, so
-          cuts-on and cuts-off searches agree on status and, with
-          [first_solution = false], on the objective. The incumbent is
-          exactly audited against the whole pool in rational
-          arithmetic before it is returned ({!Cuts.check_all}); a
-          violation raises {!Agingfp_util.Invariant.Violation}.
-          Default [true]; [false] is the bare-search reference. *)
   heuristics : bool;
       (** Root primal heuristics ({!Heuristics}): diving and the
           feasibility pump, run on the root relaxation under
           {!Heuristics.budget_fraction} of the solve budget to seed
           the incumbent before node 1. Candidates are installed only
           after passing {!Model.check_feasible}. With [first_solution]
-          they run before separation (an incumbent ends the search);
-          otherwise after, on the cut-tightened relaxation. Default
-          [true]; [false] is the bare-search reference. *)
+          an incumbent they find ends the search. Default [true];
+          [false] is the bare-search reference. *)
 }
 
 val default_params : params
@@ -121,20 +109,14 @@ type stats = {
           fault that cut it short. Aggregation keeps the most severe
           reason. *)
   cuts_separated : int;
-      (** cuts admitted to the pool (Gomory + cover) *)
-  cuts_active : int;  (** pool cuts still active when the search ended *)
-  cuts_aged_out : int;
-      (** lifetime deactivations by the activity-aging machinery *)
+  cuts_active : int;
+      (** Always [0]: the search separates no cutting planes. The two
+          fields stay because the product-path benchmark
+          ([perf/workloads.ml]) still reports them as [cuts.separated]
+          and [cuts.active]; the next change to that benchmark drops
+          them. *)
   heuristic_incumbents : int;
       (** incumbents installed by diving / the feasibility pump *)
-  root_gap_closed : float;
-      (** fraction of the root integrality gap closed by root
-          separation rounds: [(root_after_cuts - root_lp) /
-          (final_objective - root_lp)] in sign space, clamped to
-          [0, 1]. [nan] when cuts were off, no tree search ran, the
-          search found no incumbent, or the root relaxation was
-          already tight. Aggregation keeps the most recent non-[nan]
-          value (like [dual_bound], it is per-model). *)
 }
 
 val zero_stats : stats
@@ -148,10 +130,9 @@ val reset_cumulative : unit -> unit
 
 val cumulative : unit -> stats
 (** The sum of every solve since the last {!reset_cumulative}. Its
-    [dual_bound] and [root_gap_closed] are always [nan]: they are
-    per-model values, and "the most recent solve's" would depend on
-    which of several concurrent solves finished last. Each result's
-    own stats carry them. *)
+    [dual_bound] is always [nan]: it is a per-model value, and "the
+    most recent solve's" would depend on which of several concurrent
+    solves finished last. Each result's own stats carry it. *)
 
 val note_lp_solve :
   ?warm_fallbacks:int ->

@@ -851,9 +851,12 @@ let run ?(budget = Agingfp_util.Budget.unlimited) ?(integrality_tol = 1e-9)
               let cs = List.map (fun u -> Hashtbl.find row_vars u) !best_cover in
               let cmax = List.fold_left Float.max neg_infinity cs in
               let cmin = List.fold_left Float.min infinity cs in
+              (* An = 1 clique pins the group's low end only when the
+                 group holds every member: a member already counted in
+                 another group may be the one set to 1. *)
               let full =
                 !clique_exact.(!best)
-                && List.for_all (fun u -> Hashtbl.mem row_vars u) !clique_members.(!best)
+                && List.compare_lengths !best_cover !clique_members.(!best) = 0
               in
               let gmax = if full then cmax else Float.max 0.0 cmax in
               let gmin = if full then cmin else Float.min 0.0 cmin in

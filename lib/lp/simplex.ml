@@ -70,7 +70,7 @@ let pp_status ppf = function
 (* Cycle watch of [dual_restore] (see [repeats]): a snapshot of the
    step state and the columns bound-flipped since it was taken. *)
 type probe = {
-  snap_xb : float array;            (* m_max-sized: x_B at the snapshot *)
+  snap_xb : float array;            (* m-sized: x_B at the snapshot *)
   mutable flipped : int array;      (* columns flipped since the snapshot, each once *)
   mutable flip_from : float array;  (* their values at the snapshot *)
   mutable n_flipped : int;
@@ -82,15 +82,14 @@ type probe = {
 
 type state = {
   n : int;                   (* structural variable count *)
-  mutable m : int;           (* live rows: model rows + appended cut rows *)
-  m_max : int;               (* row capacity reserved at assembly *)
+  m : int;                   (* row count *)
   max_cols : int;
-  mutable ncols : int;       (* n + m_max + nart *)
+  mutable ncols : int;       (* n + m + nart *)
   col_rows : int array array;
   col_coefs : float array array;
-  row_start : int array;     (* m_max + 1: row i is [row_start.(i), row_start.(i + 1)) *)
-  mutable row_cols : int array;  (* structural column of each mirrored entry *)
-  mutable row_vals : float array;
+  row_start : int array;     (* m + 1: row i is [row_start.(i), row_start.(i + 1)) *)
+  row_cols : int array;      (* structural column of each mirrored entry *)
+  row_vals : float array;
   lb : float array;
   ub : float array;
   b : float array;
@@ -99,17 +98,14 @@ type state = {
   pos_in_basis : int array;
   x_b : float array;
   vals : float array;        (* value of each nonbasic column *)
-  rhs_scratch : float array; (* m_max-sized: recompute_basics / drift checks *)
-  w : float array;           (* m_max-sized: ftran image of the entering column *)
-  y : float array;           (* m_max-sized: dual vector *)
-  rho : float array;         (* m_max-sized: pivot row of B^-1 *)
+  rhs_scratch : float array; (* m-sized: recompute_basics / drift checks *)
+  w : float array;           (* m-sized: ftran image of the entering column *)
+  y : float array;           (* m-sized: dual vector *)
+  rho : float array;         (* m-sized: pivot row of B^-1 *)
   row_prod : float array;    (* n-sized: y·A or rho·A over the structurals *)
   probe : probe;
-  nat_slb : float array;     (* natural slack bounds per row, for re-enforcement *)
-  nat_sub : float array;
   n_artificial_base : int;   (* first artificial column index *)
   mutable nart : int;
-  mutable rows_dirty : bool; (* rows appended since the kernel last resized *)
   cost2 : float array;       (* sign-folded phase-2 cost *)
   mutable saved_cost : float array option; (* model cost while overridden *)
   obj : Expr.t;
@@ -428,27 +424,21 @@ let nearest_bound lb ub = if lb > neg_infinity then lb else if ub < infinity the
 
 (* ---------- assembly and cold solve ---------- *)
 
-let assemble ?(params = default_params) ?(extra_rows = 0) model =
-  if extra_rows < 0 then Invariant.invalid ~where:"Simplex.assemble" "negative extra_rows";
+let assemble ?(params = default_params) model =
   let n = Model.num_vars model in
   let m = Model.num_constraints model in
-  let m_max = m + extra_rows in
   let dir, obj = Model.objective model in
   let sign = match dir with Model.Minimize -> 1.0 | Model.Maximize -> -1.0 in
   let acc_rows = Array.make (max n 1) [] in
   let acc_coefs = Array.make (max n 1) [] in
-  let b = Array.make (max m_max 1) 0.0 in
-  (* Column layout: [0, n) structurals, [n, n + m_max) one slack slot
-     per row of capacity (slots beyond the live rows stay fixed at
-     [0,0] with an empty column, so pricing never touches them), then
-     m_max artificial slots. *)
-  let max_cols = n + m_max + m_max in
+  let b = Array.make (max m 1) 0.0 in
+  (* Column layout: [0, n) structurals, [n, n + m) one slack per row,
+     then m artificial slots. *)
+  let max_cols = n + m + m in
   let col_rows = Array.make (max max_cols 1) [||] in
   let col_coefs = Array.make (max max_cols 1) [||] in
   let lb = Array.make (max max_cols 1) 0.0 in
   let ub = Array.make (max max_cols 1) 0.0 in
-  let nat_slb = Array.make (max m_max 1) 0.0 in
-  let nat_sub = Array.make (max m_max 1) 0.0 in
   Model.iter_constraints model (fun i lhs rel rhs ->
       b.(i) <- rhs;
       (match rel with
@@ -461,8 +451,6 @@ let assemble ?(params = default_params) ?(extra_rows = 0) model =
       | Model.Eq ->
         lb.(n + i) <- 0.0;
         ub.(n + i) <- 0.0);
-      nat_slb.(i) <- lb.(n + i);
-      nat_sub.(i) <- ub.(n + i);
       List.iter
         (fun (v, c) ->
           acc_rows.(v) <- i :: acc_rows.(v);
@@ -480,18 +468,17 @@ let assemble ?(params = default_params) ?(extra_rows = 0) model =
   done;
   (* Row-major mirror of the structural entries: a counting-sort
      transpose of the column store, so each row lists its columns in
-     ascending order. Rows beyond the live ones start empty at the end
-     of the entry arrays, where [add_row] appends. *)
-  let row_start = Array.make (m_max + 1) 0 in
+     ascending order. *)
+  let row_start = Array.make (m + 1) 0 in
   for v = 0 to n - 1 do
     Array.iter (fun i -> row_start.(i + 1) <- row_start.(i + 1) + 1) col_rows.(v)
   done;
-  for i = 1 to m_max do
+  for i = 1 to m do
     row_start.(i) <- row_start.(i) + row_start.(i - 1)
   done;
-  let nnz = row_start.(m_max) in
+  let nnz = row_start.(m) in
   let row_cols = Array.make (max nnz 1) 0 and row_vals = Array.make (max nnz 1) 0.0 in
-  let next = Array.sub row_start 0 (max m_max 1) in
+  let next = Array.sub row_start 0 (max m 1) in
   for v = 0 to n - 1 do
     let rows = col_rows.(v) and coefs = col_coefs.(v) in
     for k = 0 to Array.length rows - 1 do
@@ -512,9 +499,8 @@ let assemble ?(params = default_params) ?(extra_rows = 0) model =
   {
     n;
     m;
-    m_max;
     max_cols;
-    ncols = n + m_max;
+    ncols = n + m;
     col_rows;
     col_coefs;
     row_start;
@@ -524,18 +510,18 @@ let assemble ?(params = default_params) ?(extra_rows = 0) model =
     ub;
     b;
     bas = Basis.create params.kernel m;
-    basis = Array.make (max m_max 1) (-1);
+    basis = Array.make (max m 1) (-1);
     pos_in_basis = Array.make (max max_cols 1) (-1);
-    x_b = Array.make (max m_max 1) 0.0;
+    x_b = Array.make (max m 1) 0.0;
     vals = Array.make (max max_cols 1) 0.0;
-    rhs_scratch = Array.make (max m_max 1) 0.0;
-    w = Array.make (max m_max 1) 0.0;
-    y = Array.make (max m_max 1) 0.0;
-    rho = Array.make (max m_max 1) 0.0;
+    rhs_scratch = Array.make (max m 1) 0.0;
+    w = Array.make (max m 1) 0.0;
+    y = Array.make (max m 1) 0.0;
+    rho = Array.make (max m 1) 0.0;
     row_prod = Array.make (max n 1) 0.0;
     probe =
       {
-        snap_xb = Array.make (max m_max 1) 0.0;
+        snap_xb = Array.make (max m 1) 0.0;
         flipped = Array.make 16 0;
         flip_from = Array.make 16 0.0;
         n_flipped = 0;
@@ -544,11 +530,8 @@ let assemble ?(params = default_params) ?(extra_rows = 0) model =
         power = 1;
         since = 0;
       };
-    nat_slb;
-    nat_sub;
-    n_artificial_base = n + m_max;
+    n_artificial_base = n + m;
     nart = 0;
-    rows_dirty = false;
     cost2;
     saved_cost = None;
     obj;
@@ -565,8 +548,6 @@ let assemble ?(params = default_params) ?(extra_rows = 0) model =
    row residuals where their bounds allow, artificials elsewhere. *)
 let reset st =
   let n = st.n and m = st.m in
-  if Basis.dim st.bas <> m then Basis.resize st.bas m;
-  st.rows_dirty <- false;
   for v = 0 to n - 1 do
     st.vals.(v) <- nearest_bound st.lb.(v) st.ub.(v)
   done;
@@ -720,108 +701,6 @@ let set_rhs st i rhs =
 
 let set_budget st budget = st.budget <- budget
 
-(* ---------- in-place row append (cutting planes) ---------- *)
-
-let num_rows st = st.m
-let row_capacity st = st.m_max
-let structural_count st = st.n
-
-(* Append one inequality row into a reserved slot without
-   re-assembling: entries go to the touched structural columns, the
-   row's slack slot is activated and made basic in the new row, and
-   the state is flagged so the next [reoptimize] resizes the kernel
-   and refactorizes before touching the factors. Making the slack
-   basic keeps the appended basis block-triangular over the old one,
-   so warmth is preserved: one refactorization plus a dual-simplex
-   repair of the (possibly bound-violated) new slack. *)
-let add_row st ~terms ~rel ~rhs =
-  let i = st.m in
-  if i >= st.m_max then
-    Invariant.invalid ~where:"Simplex.add_row" "row capacity exhausted (%d rows)" st.m_max;
-  if not (Float.is_finite rhs) then
-    Invariant.invalid ~where:"Simplex.add_row" "non-finite rhs";
-  (* Coalesce duplicate variables: the kernels scatter column entries
-     with assignment, so a (row, col) pair must appear at most once. *)
-  let terms =
-    List.sort (fun (a, _) (b, _) -> compare (a : int) b) terms
-    |> List.fold_left
-         (fun acc (v, c) ->
-           match acc with
-           | (v', c') :: rest when v' = v -> (v', c' +. c) :: rest
-           | _ -> (v, c) :: acc)
-         []
-  in
-  List.iter
-    (fun (v, c) ->
-      if v < 0 || v >= st.n then
-        Invariant.invalid ~where:"Simplex.add_row" "term on non-structural column %d" v;
-      if not (Float.is_finite c) then
-        Invariant.invalid ~where:"Simplex.add_row" "non-finite coefficient on %d" v)
-    terms;
-  (* Row [i] is the last row, so appending it keeps every column
-     sorted by row and extends the mirror at its end. *)
-  let entries = List.rev (List.filter (fun (_, c) -> not (Float.equal c 0.0)) terms) in
-  let base = st.row_start.(i) in
-  let top = base + List.length entries in
-  if top > Array.length st.row_cols then begin
-    let cap = max top (2 * Array.length st.row_cols) in
-    let cols = Array.make cap 0 and vals = Array.make cap 0.0 in
-    Array.blit st.row_cols 0 cols 0 base;
-    Array.blit st.row_vals 0 vals 0 base;
-    st.row_cols <- cols;
-    st.row_vals <- vals
-  end;
-  List.iteri
-    (fun k (v, c) ->
-      st.col_rows.(v) <- Array.append st.col_rows.(v) [| i |];
-      st.col_coefs.(v) <- Array.append st.col_coefs.(v) [| c |];
-      st.row_cols.(base + k) <- v;
-      st.row_vals.(base + k) <- c)
-    entries;
-  for k = i + 1 to st.m_max do
-    st.row_start.(k) <- top
-  done;
-  let j = st.n + i in
-  let slb, sub =
-    match rel with
-    | Model.Le -> (0.0, infinity)
-    | Model.Ge -> (neg_infinity, 0.0)
-    | Model.Eq -> Invariant.invalid ~where:"Simplex.add_row" "only inequality rows can be appended"
-  in
-  st.col_rows.(j) <- [| i |];
-  st.col_coefs.(j) <- [| 1.0 |];
-  st.lb.(j) <- slb;
-  st.ub.(j) <- sub;
-  st.nat_slb.(i) <- slb;
-  st.nat_sub.(i) <- sub;
-  st.vals.(j) <- 0.0;
-  st.b.(i) <- rhs;
-  st.basis.(i) <- j;
-  st.pos_in_basis.(j) <- i;
-  st.m <- i + 1;
-  st.rows_dirty <- true;
-  i
-
-(* Enforce / relax a row by its slack bounds: a relaxed row keeps its
-   slot in the factorization (no renumbering, warmth preserved) but
-   its free slack absorbs any violation, so it can never bind. This is
-   how the cut pool deactivates aged-out cuts. *)
-let set_row_enforced st i enforced =
-  if i < 0 || i >= st.m then Invariant.invalid ~where:"Simplex.set_row_enforced" "bad row";
-  let j = st.n + i in
-  if enforced then begin
-    st.lb.(j) <- st.nat_slb.(i);
-    st.ub.(j) <- st.nat_sub.(i);
-    if st.pos_in_basis.(j) < 0 then begin
-      let x = st.vals.(j) in
-      st.vals.(j) <- (if x < st.lb.(j) then st.lb.(j) else if x > st.ub.(j) then st.ub.(j) else x)
-    end
-  end
-  else begin
-    st.lb.(j) <- neg_infinity;
-    st.ub.(j) <- infinity
-  end
-
 (* ---------- objective override (feasibility pump) ---------- *)
 
 (* Replace the minimized cost vector with an arbitrary linear form
@@ -848,43 +727,11 @@ let reset_cost st =
     Array.blit c 0 st.cost2 0 st.max_cols;
     st.saved_cost <- None
 
-(* ---------- basis introspection (cut separation) ---------- *)
-
-let basis_column st i =
-  if i < 0 || i >= st.m then Invariant.invalid ~where:"Simplex.basis_column" "bad position";
-  st.basis.(i)
-
-let column_position st j =
-  if j < 0 || j >= st.max_cols then Invariant.invalid ~where:"Simplex.column_position" "bad column";
-  st.pos_in_basis.(j)
-
-let column_value st j =
-  if j < 0 || j >= st.max_cols then Invariant.invalid ~where:"Simplex.column_value" "bad column";
-  let p = st.pos_in_basis.(j) in
-  if p >= 0 then st.x_b.(p) else st.vals.(j)
+(* ---------- introspection ---------- *)
 
 let column_bounds st j =
   if j < 0 || j >= st.max_cols then Invariant.invalid ~where:"Simplex.column_bounds" "bad column";
   (st.lb.(j), st.ub.(j))
-
-(* Row [pos] of B⁻¹A over the nonbasic columns — the raw material of a
-   Gomory cut. Only meaningful against live factors: the caller must
-   hold an optimal (or at least factorized) basis with no pending row
-   appends. *)
-let tableau_row st ~pos =
-  if pos < 0 || pos >= st.m then Invariant.invalid ~where:"Simplex.tableau_row" "bad position";
-  if st.rows_dirty then
-    Invariant.invalid ~where:"Simplex.tableau_row" "rows appended since last factorization";
-  Basis.btran_unit st.bas pos st.rho;
-  row_product st st.rho st.row_prod;
-  let acc = ref [] in
-  for j = st.ncols - 1 downto 0 do
-    if st.pos_in_basis.(j) < 0 then begin
-      let a = priced st st.row_prod st.rho j in
-      if abs_float a > 1e-11 then acc := (j, a) :: !acc
-    end
-  done;
-  !acc
 
 (* The row-major mirror must hold exactly the column store's
    structural entries, with every column sorted by row; then, against
@@ -913,7 +760,7 @@ let check_row_mirror st =
     if next.(i) <> st.row_start.(i + 1) then
       Invariant.fail ~where "row %d: mirror holds entries the columns lack" i
   done;
-  if Basis.is_factored st.bas && not st.rows_dirty then begin
+  if Basis.is_factored st.bas then begin
     let v = Array.make (max st.m 1) 0.0 and prod = Array.make (max st.n 1) 0.0 in
     let agree what reduce =
       row_product st v prod;
@@ -1147,16 +994,6 @@ let reoptimize st =
   else begin
     let iters0 = st.n_iters in
     let attempt () =
-      (* Rows appended since the last (re)factorization: grow the
-         kernel and refactor before any ftran/btran. The appended
-         basis is block-triangular over the old one — [[B old, 0],
-         [r, 1]] with the new slack unit-basic in the new row — so a
-         previously nonsingular basis stays nonsingular. *)
-      if st.rows_dirty then begin
-        Basis.resize st.bas st.m;
-        st.rows_dirty <- false;
-        factorize_basis st
-      end;
       (* A singular refactorization during the previous solve left no
          usable factors: nothing warm survives, restart cold. *)
       if not (Basis.is_factored st.bas) then raise Singular_basis;

@@ -82,11 +82,9 @@ type state
     edited in place between solves. The state does not alias the
     source {!Model.t} — later edits to the model are not seen. *)
 
-val assemble : ?params:params -> ?extra_rows:int -> Model.t -> state
+val assemble : ?params:params -> Model.t -> state
 (** Build the solver state (sparse columns, bounds, RHS) without
-    optimizing. [extra_rows] (default 0) reserves slots for rows
-    appended later with {!add_row} — the cut separator's working
-    space — so an append never reallocates the column store. *)
+    optimizing. *)
 
 val solve_state : state -> status
 (** Cold solve: rebuild the initial slack/artificial basis for the
@@ -115,39 +113,6 @@ val set_budget : state -> Agingfp_util.Budget.t -> unit
     the remap pipeline re-uses one assembled state across many
     deadline slices. *)
 
-(** {1 In-place row append (cutting planes)}
-
-    Cut rounds must not pay a full re-assemble: {!add_row} writes one
-    inequality into a slot reserved by [assemble ~extra_rows], makes
-    its slack basic in the new row (the appended basis is
-    block-triangular over the old one, so nonsingularity is
-    preserved), and the next {!reoptimize} resizes the kernel,
-    refactorizes once, and repairs the — typically bound-violated —
-    new slack with the ordinary dual-simplex restoration pass. *)
-
-val num_rows : state -> int
-(** Live rows: model constraints plus appended cut rows. *)
-
-val row_capacity : state -> int
-(** Total row slots ([num_constraints + extra_rows]). *)
-
-val structural_count : state -> int
-(** Structural (model) variable count; column [structural_count + i]
-    is the slack of row [i]. *)
-
-val add_row : state -> terms:(int * float) list -> rel:Model.relation -> rhs:float -> int
-(** [add_row st ~terms ~rel ~rhs] appends the inequality
-    [terms rel rhs] over structural variables and returns its row
-    index. Only [Le]/[Ge] rows can be appended; duplicate variables in
-    [terms] are coalesced. Raises [Invalid_argument] when capacity is
-    exhausted, on non-structural variables, or on non-finite data. *)
-
-val set_row_enforced : state -> int -> bool -> unit
-(** Relax ([false]) or re-enforce ([true]) row [i] by freeing /
-    restoring its slack bounds. A relaxed row keeps its slot in the
-    factorization — no renumbering, warmth preserved — but can never
-    bind. This is how the cut pool deactivates aged-out cuts. *)
-
 (** {1 Objective override (primal heuristics)} *)
 
 val set_cost : state -> (int * float) list -> unit
@@ -161,36 +126,18 @@ val reset_cost : state -> unit
 (** Restore the model cost saved by the first {!set_cost}. No-op if no
     override is active. *)
 
-(** {1 Basis introspection (cut separation)}
-
-    Positions are basis rows [0 .. num_rows - 1]; columns are
-    [0 .. n-1] structurals, [n .. n + row_capacity - 1] slacks, then
-    artificials. Only meaningful on a state holding the factors of its
-    last solve (no pending appends). *)
-
-val basis_column : state -> int -> int
-(** Column basic in the given row position. *)
-
-val column_position : state -> int -> int
-(** Basis position of a column, [-1] when nonbasic. *)
-
-val column_value : state -> int -> float
-(** Current value of any column (basic or nonbasic). *)
+(** {1 Introspection (primal heuristics, invariant checks)} *)
 
 val column_bounds : state -> int -> float * float
-(** Current bounds of any column. *)
-
-val tableau_row : state -> pos:int -> (int * float) list
-(** Row [pos] of [B⁻¹A] restricted to nonbasic columns with
-    coefficient magnitude above [1e-11] — the raw material of a Gomory
-    cut. Raises [Invalid_argument] on a bad position or when rows were
-    appended since the last factorization. *)
+(** Current bounds of any column: [0 .. n-1] structurals, then one
+    slack per row, then the phase-1 artificials. Diving reads a
+    structural's bounds this way before it fixes the variable. *)
 
 val check_row_mirror : state -> unit
 (** Invariant check of the pricing kernel. The row-major mirror of the
     structural entries must match the column store exactly, with every
     column sorted by row; and, when the state holds live factors (a
-    solve ran and no row was appended since), the mirrored products
+    solve ran), the mirrored products
     must equal the column-wise dot products bit for bit, [±0] equal,
     for the reduced costs of the current cost vector and for every
     pivot row of [B⁻¹A]. This equality is what keeps the pivots of

@@ -511,20 +511,8 @@ let handle_remap t fd ~arrived ~queue_wait (req : Http.request) =
                               Json.Int s.Agingfp_lp.Milp.lp_iterations );
                             ("warm_solves", Json.Int s.Agingfp_lp.Milp.warm_solves);
                             ("cold_solves", Json.Int s.Agingfp_lp.Milp.cold_solves);
-                            ( "cuts_separated",
-                              Json.Int s.Agingfp_lp.Milp.cuts_separated );
-                            ("cuts_active", Json.Int s.Agingfp_lp.Milp.cuts_active);
-                            ( "cuts_aged_out",
-                              Json.Int s.Agingfp_lp.Milp.cuts_aged_out );
                             ( "heuristic_incumbents",
                               Json.Int s.Agingfp_lp.Milp.heuristic_incumbents );
-                            (* nan whenever this rung ran no root
-                               separation phase — same Null convention
-                               as gap/dual_bound above. *)
-                            ( "root_gap_closed",
-                              if Float.is_finite s.Agingfp_lp.Milp.root_gap_closed
-                              then Json.Float s.Agingfp_lp.Milp.root_gap_closed
-                              else Json.Null );
                           ])
                       result.Remap.rung_stats) );
                ("st_target", Json.Float result.Remap.st_target);

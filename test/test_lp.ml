@@ -640,7 +640,8 @@ let cycling_lp ~rhs0 =
   m
 
 let test_reoptimize_cycle_exit () =
-  let st = Simplex.assemble (cycling_lp ~rhs0:(-2.0)) in
+  let model = cycling_lp ~rhs0:(-2.0) in
+  let st = Simplex.assemble model in
   ignore (get_optimal (Simplex.solve_state st));
   Simplex.set_rhs st 0 (-4.0);
   let s0 = Simplex.state_stats st in
@@ -653,17 +654,17 @@ let test_reoptimize_cycle_exit () =
     (s1.Simplex.warm_fallbacks - s0.Simplex.warm_fallbacks);
   (* Without the cycle exit the restore runs to its 4(m + 1) + 200
      iteration cap before the cold restart. *)
-  let cap = (4 * (Simplex.num_rows st + 1)) + 200 in
+  let cap = (4 * (Model.num_constraints model + 1)) + 200 in
   let used = s1.Simplex.lp_iterations - s0.Simplex.lp_iterations in
   if used >= cap then Alcotest.failf "used %d LP iterations, cap %d" used cap
 
 (* ---------- Simplex row-major pricing mirror ---------- *)
 
-(* The mirror must track the column store through assembly, cut-row
-   appends (with duplicate, cancelling and zero terms, which the
-   append coalesces or drops) and row relaxation, and the mirrored
-   pivot rows and reduced costs must equal the column-wise products
-   bit for bit ([Simplex.check_row_mirror] raises otherwise). *)
+(* The mirror must match the column store after assembly, and the
+   mirrored pivot rows and reduced costs must equal the column-wise
+   products bit for bit against the factors of a cold solve and of
+   warm re-solves after bound edits ([Simplex.check_row_mirror]
+   raises otherwise). *)
 let prop_row_mirror_matches_columns =
   QCheck2.Test.make ~name:"row-major pricing mirror matches the column store exactly"
     ~count:200 QCheck2.Gen.int (fun seed ->
@@ -687,26 +688,16 @@ let prop_row_mirror_matches_columns =
         (Array.fold_left
            (fun e v -> Expr.add_term e (Rng.float rng 4.0 -. 2.0) v)
            Expr.zero vars);
-      let st = Simplex.assemble ~extra_rows:3 model in
+      let st = Simplex.assemble model in
       Simplex.check_row_mirror st;
       ignore (Simplex.solve_state st);
       Simplex.check_row_mirror st;
-      let pick () = vars.(Rng.int rng n) in
       for _ = 1 to 3 do
-        let a = pick () and b = pick () and c = pick () in
-        let terms =
-          [ (a, 0.5 +. Rng.float rng 2.0); (b, 1.0); (c, 0.0); (b, -1.0); (a, 0.25) ]
-        in
-        let rel = if Rng.bool rng then Model.Le else Model.Ge in
-        ignore (Simplex.add_row st ~terms ~rel ~rhs:(Rng.float rng 10.0 -. 2.0));
-        Simplex.check_row_mirror st;
+        let v = vars.(Rng.int rng n) in
+        Simplex.set_var_bounds st v ~lb:0.0 ~ub:(Rng.float rng 1.0);
         ignore (Simplex.reoptimize st);
         Simplex.check_row_mirror st
       done;
-      Simplex.set_row_enforced st (Simplex.num_rows st - 1) false;
-      Simplex.check_row_mirror st;
-      ignore (Simplex.reoptimize st);
-      Simplex.check_row_mirror st;
       true)
 
 let test_reoptimize_restored_bounds_interior () =
@@ -892,15 +883,10 @@ let test_milp_stats_warm_branching () =
     (Expr.sum
        (Array.to_list
           (Array.mapi (fun i x -> Expr.var ~coef:(w.(i) +. float_of_int (i mod 3)) x) xs)));
-  (* Cuts and heuristics would close this instance at the root; this
-     test is about the branching machinery, so pin them off. *)
+  (* Root heuristics would close this instance at the root; this test
+     is about the branching machinery, so pin them off. *)
   let params =
-    {
-      Milp.default_params with
-      first_solution = false;
-      cuts = false;
-      heuristics = false;
-    }
+    { Milp.default_params with first_solution = false; heuristics = false }
   in
   let result, stats = Milp.solve_with_stats ~params m in
   let s = get_feasible result in
@@ -979,8 +965,19 @@ let brute_force_ilp nvars cons obj =
   done;
   !best
 
-(* A random small binary Maximize model together with its raw data,
-   so 0/1 enumeration can solve the same instance. *)
+(* A binary Maximize model over [nvars] variables built from raw
+   rows, returned with that data so 0/1 enumeration can solve the same
+   instance. *)
+let binary_ilp nvars cons obj =
+  let m = Model.create () in
+  let vars = Array.init nvars (fun _ -> Model.add_binary m) in
+  let lin coefs = Expr.sum (List.map (fun (v, c) -> Expr.var ~coef:c vars.(v)) coefs) in
+  List.iter (fun (coefs, rel, rhs) -> ignore (Model.add_constraint m (lin coefs) rel rhs)) cons;
+  Model.set_objective m Model.Maximize (lin obj);
+  (m, nvars, cons, obj)
+
+(* A random small binary Maximize model with dense rows of mixed
+   sign. *)
 let random_binary_ilp rng =
   let nvars = 3 + Rng.int rng 5 in
   let ncons = 1 + Rng.int rng 4 in
@@ -992,21 +989,80 @@ let random_binary_ilp rng =
         (coefs, rel, rhs))
   in
   let obj = List.init nvars (fun v -> (v, float_of_int (Rng.int rng 11 - 5))) in
-  let m = Model.create () in
-  let vars = Array.init nvars (fun _ -> Model.add_binary m) in
-  List.iter
-    (fun (coefs, rel, rhs) ->
-      let lhs = Expr.sum (List.map (fun (v, c) -> Expr.var ~coef:c vars.(v)) coefs) in
-      ignore (Model.add_constraint m lhs rel rhs))
-    cons;
-  Model.set_objective m Model.Maximize
-    (Expr.sum (List.map (fun (v, c) -> Expr.var ~coef:c vars.(v)) obj));
-  (m, nvars, cons, obj)
+  binary_ilp nvars cons obj
 
+let int_between rng lo hi = float_of_int (lo + Rng.int rng (hi - lo + 1))
+
+(* Set cover: 8-16 sets, 4-8 elements, each element covered once or
+   twice by the sets that hold it; minimize the integer set costs
+   (maximize their negation). An element that no set holds makes the
+   instance infeasible. *)
+let set_cover_ilp rng =
+  let nvars = 8 + Rng.int rng 9 in
+  let elements = 4 + Rng.int rng 5 in
+  let cons =
+    List.init elements (fun _ ->
+        let holders = List.filter (fun _ -> Rng.int rng 4 = 0) (List.init nvars Fun.id) in
+        (List.map (fun v -> (v, 1.0)) holders, Model.Ge, int_between rng 1 2))
+  in
+  let obj = List.init nvars (fun v -> (v, -.int_between rng 1 9)) in
+  binary_ilp nvars cons obj
+
+(* Multi-knapsack: 8-16 items, 2-4 capacity rows with integer weights
+   and capacities near half the row's total weight; maximize integer
+   profits. *)
+let multi_knapsack_ilp rng =
+  let nvars = 8 + Rng.int rng 9 in
+  let rows = 2 + Rng.int rng 3 in
+  let cons =
+    List.init rows (fun _ ->
+        let coefs = List.init nvars (fun v -> (v, int_between rng 1 9)) in
+        let total = List.fold_left (fun acc (_, w) -> acc +. w) 0.0 coefs in
+        (coefs, Model.Le, Float.round (total *. (0.3 +. Rng.float rng 0.4))))
+  in
+  let obj = List.init nvars (fun v -> (v, int_between rng 1 20)) in
+  binary_ilp nvars cons obj
+
+(* Assignment with side rows: 2-4 agents each take exactly one of 2-4
+   tasks (at most 16 binaries), every task takes at most 1 or 2
+   agents, and 1-2 integer side rows (a budget [<=] or a quota [>=])
+   cut across the assignment; maximize integer scores of either
+   sign. *)
+let assignment_ilp rng =
+  let agents = 2 + Rng.int rng 3 and tasks = 2 + Rng.int rng 3 in
+  let x a t = (a * tasks) + t in
+  let nvars = agents * tasks in
+  let one_task =
+    List.init agents (fun a -> (List.init tasks (fun t -> (x a t, 1.0)), Model.Eq, 1.0))
+  in
+  let task_cap =
+    List.init tasks (fun t ->
+        (List.init agents (fun a -> (x a t, 1.0)), Model.Le, int_between rng 1 2))
+  in
+  let side =
+    List.init (1 + Rng.int rng 2) (fun _ ->
+        let coefs = List.init nvars (fun v -> (v, int_between rng 0 6)) in
+        if Rng.bool rng then (coefs, Model.Le, int_between rng 3 (3 * agents))
+        else (coefs, Model.Ge, int_between rng 1 (2 * agents)))
+  in
+  let obj = List.init nvars (fun v -> (v, int_between rng (-5) 10)) in
+  binary_ilp nvars (one_task @ task_cap @ side) obj
+
+(* The input of the 0/1-enumeration oracles: the dense random family
+   plus three structured ones, each at most 16 binaries. *)
+let oracle_ilp rng =
+  match Rng.int rng 4 with
+  | 0 -> random_binary_ilp rng
+  | 1 -> set_cover_ilp rng
+  | 2 -> multi_knapsack_ilp rng
+  | _ -> assignment_ilp rng
+
+(* Both oracles print the failing seed: [oracle_ilp (Rng.create seed)]
+   rebuilds the instance. *)
 let prop_milp_matches_brute_force =
   QCheck2.Test.make ~name:"branch & bound matches 0/1 enumeration" ~count:150
-    QCheck2.Gen.int (fun seed ->
-      let m, nvars, cons, obj = random_binary_ilp (Rng.create seed) in
+    ~print:string_of_int QCheck2.Gen.int (fun seed ->
+      let m, nvars, cons, obj = oracle_ilp (Rng.create seed) in
       let params = { Milp.default_params with first_solution = false } in
       match (Milp.solve ~params m, brute_force_ilp nvars cons obj) with
       | Milp.Feasible s, Some best -> abs_float (s.objective -. best) < 1e-6
@@ -1016,12 +1072,12 @@ let prop_milp_matches_brute_force =
       | Milp.Unknown, _ -> false)
 
 (* The product mode: the search every floorplan solve runs (first
-   feasible point, cuts and heuristics on) finds a feasible, integral
+   feasible point, root heuristics on) finds a feasible, integral
    point exactly when 0/1 enumeration finds one. *)
 let prop_default_params_feasibility_oracle =
   QCheck2.Test.make ~name:"product mode matches 0/1 feasibility"
-    ~count:150 QCheck2.Gen.int (fun seed ->
-      let m, nvars, cons, obj = random_binary_ilp (Rng.create seed) in
+    ~count:150 ~print:string_of_int QCheck2.Gen.int (fun seed ->
+      let m, nvars, cons, obj = oracle_ilp (Rng.create seed) in
       match (Milp.solve ~params:Milp.default_params m, brute_force_ilp nvars cons obj) with
       | Milp.Feasible s, Some _ ->
         Model.check_feasible m (fun v -> s.values.(v)) = Ok ()
@@ -1077,13 +1133,12 @@ let budget_knapsack () =
 
 let test_milp_node_limit_incumbent () =
   (* Node-limit semantics need a search that actually visits nodes:
-     root cuts and heuristics close the knapsack before branching. *)
+     root heuristics close the knapsack before branching. *)
   let base =
     {
       Milp.default_params with
       first_solution = false;
       presolve = false;
-      cuts = false;
       heuristics = false;
     }
   in

@@ -1,7 +1,6 @@
-(* Tests for the explicit branch & bound tree: the cuts x heuristics
-   matrix, the global dual bound and honest gaps, cut
-   separation and root heuristics, pseudocost branching, and the node
-   store's deterministic plunge-then-jump order. *)
+(* Tests for the explicit branch & bound tree: root heuristics on and
+   off, the global dual bound and honest gaps, pseudocost branching,
+   and the node store's deterministic plunge-then-jump order. *)
 
 module Expr = Agingfp_lp.Expr
 module Model = Agingfp_lp.Model
@@ -11,8 +10,6 @@ module Node_store = Agingfp_lp.Node_store
 module Brancher = Agingfp_lp.Brancher
 module Budget = Agingfp_util.Budget
 module Rng = Agingfp_util.Rng
-module Cuts = Agingfp_lp.Cuts
-module Certify = Agingfp_lp.Certify
 
 let get_feasible = function
   | Milp.Feasible s -> s
@@ -76,21 +73,21 @@ let structured_model () =
 
 (* ---------- search matrix ---------- *)
 
-(* Every cuts x heuristics combination lands on the same optimum of
-   the structured instance. *)
+(* Root heuristics on and off land on the same optimum of the
+   structured instance. *)
 let test_combination_matrix () =
   let m = structured_model () in
   let reference =
     (get_feasible (Milp.solve ~params:base_params m)).Simplex.objective
   in
   List.iter
-    (fun (cuts, heuristics) ->
-      let params = { base_params with Milp.cuts; heuristics } in
+    (fun heuristics ->
+      let params = { base_params with Milp.heuristics } in
       let sol = get_feasible (Milp.solve ~params m) in
       Alcotest.(check (float 1e-6))
-        (Printf.sprintf "cuts=%b/heuristics=%b" cuts heuristics)
+        (Printf.sprintf "heuristics=%b" heuristics)
         reference sol.Simplex.objective)
-    [ (true, true); (true, false); (false, true); (false, false) ]
+    [ true; false ]
 
 (* Two runs of the same search agree bit for bit: the point, the node
    count and the dual bound. *)
@@ -124,9 +121,9 @@ let test_node_limit_gap_honest () =
   (* Deterministically find an instance whose proof needs real
      branching — the structured model and many random ones close at
      the root, where a node limit can never fire. *)
-  (* Cuts and root heuristics close almost every random instance at
-     the root — the node limit can only fire on a bare tree search. *)
-  let bare = { base_params with Milp.cuts = false; heuristics = false } in
+  (* Root heuristics close many random instances at the root — the
+     node limit can only fire on a bare tree search. *)
+  let bare = { base_params with Milp.heuristics = false } in
   let rec find seed =
     if seed > 500 then Alcotest.fail "no branching instance in 500 seeds"
     else
@@ -145,37 +142,26 @@ let test_node_limit_gap_honest () =
     if
       stats.Milp.gap < 1e-9
       && abs_float (sol.Simplex.objective -. full.Milp.dual_bound) > 1e-6
-    then Alcotest.fail "cut search claimed a zero gap on a suboptimal incumbent"
+    then Alcotest.fail "interrupted search claimed a zero gap on a suboptimal incumbent"
   | Milp.Infeasible | Milp.Unknown -> ());
   Alcotest.(check bool) "nodes within limit" true (stats.Milp.nodes <= 2)
 
-(* ---------- cuts and heuristics ---------- *)
+(* ---------- root heuristics ---------- *)
 
-(* Separation and incumbent seeding are pure accelerations: every leg
-   (both on, heuristics off, cuts off) must agree with the bare tree
-   search on status and objective. *)
-let prop_cuts_agree =
-  QCheck2.Test.make ~name:"cuts/heuristics legs agree with bare search" ~count:100
+(* Incumbent seeding is a pure acceleration: the search with root
+   heuristics must agree with the bare tree search on status and
+   objective. *)
+let prop_heuristics_agree =
+  QCheck2.Test.make ~name:"heuristics agree with bare search" ~count:100
     QCheck2.Gen.int (fun seed ->
       let rng = Rng.create seed in
       let m = random_model rng in
-      let bare = { base_params with Milp.cuts = false; heuristics = false } in
-      let legs =
-        [
-          base_params;
-          { base_params with Milp.heuristics = false };
-          { base_params with Milp.cuts = false };
-        ]
-      in
-      let reference = Milp.solve ~params:bare m in
-      List.for_all
-        (fun params ->
-          match (reference, Milp.solve ~params m) with
-          | Milp.Feasible a, Milp.Feasible b ->
-            abs_float (a.Simplex.objective -. b.Simplex.objective) <= 1e-6
-          | Milp.Infeasible, Milp.Infeasible -> true
-          | _ -> false)
-        legs)
+      let bare = { base_params with Milp.heuristics = false } in
+      match (Milp.solve ~params:bare m, Milp.solve ~params:base_params m) with
+      | Milp.Feasible a, Milp.Feasible b ->
+        abs_float (a.Simplex.objective -. b.Simplex.objective) <= 1e-6
+      | Milp.Infeasible, Milp.Infeasible -> true
+      | _ -> false)
 
 (* A heuristic incumbent short-circuits the tree, so it must never be
    able to smuggle an infeasible or fractional point out of the solver:
@@ -193,123 +179,6 @@ let prop_heuristic_incumbents_feasible =
              (fun v -> Float.round sol.Simplex.values.(v) = sol.Simplex.values.(v))
              (Model.integer_vars m)
       | Milp.Infeasible | Milp.Unknown -> true)
-
-(* Valid cut rows can only tighten an LP relaxation, so the root bound
-   after separation is never further from the final objective than
-   before: the reported fraction closed is nan (no root phase) or in
-   [0, 1] — Milp only absorbs sub-1e-9 rounding noise at 0. *)
-let prop_root_gap_closed_bounded =
-  QCheck2.Test.make ~name:"cut rounds never widen the root gap" ~count:120
-    QCheck2.Gen.int (fun seed ->
-      let rng = Rng.create seed in
-      let m = random_model rng in
-      let _, stats = Milp.solve_with_stats ~params:base_params m in
-      let g = stats.Milp.root_gap_closed in
-      Float.is_nan g || (g >= 0.0 && g <= 1.0))
-
-let test_cut_pool_aging () =
-  let pool = Cuts.create_pool () in
-  let id =
-    match
-      Cuts.admit pool ~provenance:(Cuts.Gomory { basic_var = 0 }) ~terms:[ (0, 1.0) ]
-        ~rhs:0.0
-    with
-    | Some id -> id
-    | None -> Alcotest.fail "pool rejected the first cut"
-  in
-  Alcotest.(check bool) "duplicate rejected" true
-    (Cuts.admit pool ~provenance:(Cuts.Cover { row = 0 }) ~terms:[ (0, 1.0) ] ~rhs:0.0
-    = None);
-  Alcotest.(check bool) "fresh cut active" true (Cuts.is_active pool id);
-  (* Slack observations age the cut past the limit and deactivate it. *)
-  for _ = 1 to Cuts.age_limit do
-    Cuts.observe pool (fun _ -> -1.0)
-  done;
-  Alcotest.(check bool) "still active at the limit" true (Cuts.is_active pool id);
-  Cuts.observe pool (fun _ -> -1.0);
-  Alcotest.(check bool) "aged out" false (Cuts.is_active pool id);
-  Alcotest.(check int) "aged-out counted" 1 (Cuts.pool_stats pool).Cuts.aged_out;
-  (* A violating point reactivates it. *)
-  Cuts.observe pool (fun _ -> 1.0);
-  Alcotest.(check bool) "reactivated" true (Cuts.is_active pool id);
-  Alcotest.(check int) "reactivation counted" 1 (Cuts.pool_stats pool).Cuts.reactivated
-
-let test_certify_cuts_verdicts () =
-  let pool = Cuts.create_pool () in
-  ignore
-    (Cuts.admit pool ~provenance:(Cuts.Cover { row = 3 })
-       ~terms:[ (0, 1.0); (1, 1.0) ]
-       ~rhs:1.0);
-  let sol values = { Simplex.values; objective = 0.0; iterations = 0 } in
-  (match Certify.cuts pool (sol [| 1.0; 0.0 |]) with
-  | Certify.Certified -> ()
-  | v -> Alcotest.failf "expected certified, got %a" Certify.pp_verdict v);
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
-    at 0
-  in
-  match Certify.cuts pool (sol [| 1.0; 1.0 |]) with
-  | Certify.Rejected [ msg ] ->
-    Alcotest.(check bool) "provenance reported" true (contains msg "cover")
-  | v -> Alcotest.failf "expected one rejection, got %a" Certify.pp_verdict v
-
-(* In-place row append + dual-simplex repair must agree exactly with
-   assembling the extended model from scratch. *)
-let test_add_row_warm_matches_cold () =
-  let base () =
-    let m = Model.create () in
-    let x = Model.add_var ~lb:0.0 ~ub:10.0 m in
-    let y = Model.add_var ~lb:0.0 ~ub:10.0 m in
-    ignore
-      (Model.add_constraint m
-         (Expr.add (Expr.var x) (Expr.var ~coef:2.0 y))
-         Model.Le 14.0);
-    Model.set_objective m Model.Maximize
-      (Expr.add (Expr.var ~coef:3.0 x) (Expr.var ~coef:2.0 y));
-    (m, x, y)
-  in
-  let m, x, y = base () in
-  let st = Simplex.assemble ~extra_rows:2 m in
-  (match Simplex.solve_state st with
-  | Simplex.Optimal _ -> ()
-  | s -> Alcotest.failf "base LP not optimal: %a" Simplex.pp_status s);
-  ignore (Simplex.add_row st ~terms:[ (x, 1.0); (y, 1.0) ] ~rel:Model.Le ~rhs:8.0);
-  let warm =
-    match Simplex.reoptimize st with
-    | Simplex.Optimal s -> s
-    | s -> Alcotest.failf "warm repair failed: %a" Simplex.pp_status s
-  in
-  let m2, x2, y2 = base () in
-  ignore
-    (Model.add_constraint m2 (Expr.add (Expr.var x2) (Expr.var y2)) Model.Le 8.0);
-  let cold =
-    match Simplex.solve m2 with
-    | Simplex.Optimal s -> s
-    | s -> Alcotest.failf "cold solve failed: %a" Simplex.pp_status s
-  in
-  Alcotest.(check (float 1e-9)) "objective" cold.Simplex.objective warm.Simplex.objective;
-  Alcotest.(check (float 1e-9)) "x" cold.Simplex.values.(x2) warm.Simplex.values.(x);
-  Alcotest.(check (float 1e-9)) "y" cold.Simplex.values.(y2) warm.Simplex.values.(y)
-
-(* The fixed Eq.(3)-flavoured instance: the full cut + heuristic stack
-   must cost no more tree nodes than the bare search, at the same
-   optimum, and its gap-closed statistic must stay in range. *)
-let test_cuts_reduce_work () =
-  let bare = { base_params with Milp.cuts = false; heuristics = false } in
-  let r0, s0 = Milp.solve_with_stats ~params:bare (structured_model ()) in
-  let r1, s1 = Milp.solve_with_stats ~params:base_params (structured_model ()) in
-  match (r0, r1) with
-  | Milp.Feasible a, Milp.Feasible b ->
-    Alcotest.(check (float 1e-6)) "same optimum" a.Simplex.objective b.Simplex.objective;
-    Alcotest.(check bool)
-      (Printf.sprintf "no more nodes with cuts (%d vs %d)" s1.Milp.nodes s0.Milp.nodes)
-      true
-      (s1.Milp.nodes <= s0.Milp.nodes);
-    let g = s1.Milp.root_gap_closed in
-    Alcotest.(check bool) "gap closed in range" true
-      (Float.is_nan g || (g >= 0.0 && g <= 1.0))
-  | _ -> Alcotest.fail "structured model should be feasible"
 
 (* ---------- node store determinism ---------- *)
 
@@ -404,18 +273,9 @@ let () =
           Alcotest.test_case "pseudocost prefers observed" `Quick
             test_brancher_pseudocost_prefers_observed;
         ] );
-      ( "cuts",
-        [
-          Alcotest.test_case "pool aging + reactivation" `Quick test_cut_pool_aging;
-          Alcotest.test_case "certify cut verdicts" `Quick test_certify_cuts_verdicts;
-          Alcotest.test_case "add-row warm matches cold" `Quick
-            test_add_row_warm_matches_cold;
-          Alcotest.test_case "cuts reduce tree work" `Quick test_cuts_reduce_work;
-        ] );
       ( "properties",
         [
-          QCheck_alcotest.to_alcotest prop_cuts_agree;
+          QCheck_alcotest.to_alcotest prop_heuristics_agree;
           QCheck_alcotest.to_alcotest prop_heuristic_incumbents_feasible;
-          QCheck_alcotest.to_alcotest prop_root_gap_closed_bounded;
         ] );
     ]

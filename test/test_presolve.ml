@@ -190,6 +190,35 @@ let test_clique_reduce () =
   Alcotest.(check bool) "clique reduction fired" true (rule_apps t "clique_reduce" >= 1);
   ignore (solve_and_certify m t)
 
+let test_clique_partial_one_hot () =
+  (* The at-most-one clique {a1, a2, c} claims a1 and a2 of the
+     budget row first, leaving {b1, b2} and {d1, d2} of the two one-hot
+     rows. Those remainders may both be 0 (a1 or a2 can be the one), so
+     they add nothing to the row's minimum activity; counting each
+     remainder's cheapest member (2 + 1) refuted the feasible point
+     a1 = d1 = 1. *)
+  let m = Model.create () in
+  let bin () = Model.add_binary m in
+  let a1 = bin () and b1 = bin () and b2 = bin () in
+  let a2 = bin () and d1 = bin () and d2 = bin () in
+  let c = bin () in
+  let lin ts = Expr.sum (List.map (fun (k, v) -> Expr.var ~coef:k v) ts) in
+  ignore (Model.add_constraint m (lin [ (1.0, a1); (1.0, b1); (1.0, b2) ]) Model.Eq 1.0);
+  ignore (Model.add_constraint m (lin [ (1.0, a2); (1.0, d1); (1.0, d2) ]) Model.Eq 1.0);
+  ignore (Model.add_constraint m (lin [ (1.0, a1); (1.0, a2); (1.0, c) ]) Model.Le 1.0);
+  ignore
+    (Model.add_constraint m
+       (lin [ (1.0, a1); (2.0, b1); (2.0, b2); (2.0, a2); (1.0, d1); (1.0, d2); (1.0, c) ])
+       Model.Le 2.0);
+  Model.set_objective m Model.Maximize (Expr.var c);
+  ignore (get_reduced (Presolve.run m));
+  match Milp.solve m with
+  | Milp.Feasible sol -> (
+    match Certify.solution m sol with
+    | Certify.Certified -> ()
+    | v -> Alcotest.failf "rejected: %a" Certify.pp_verdict v)
+  | r -> Alcotest.failf "expected feasible, got %a" Milp.pp_result r
+
 let test_probe () =
   (* Setting v = 1 forces its one-hot mate w = 0, which starves
      z + w >= 1 given z <= 0 — so v must be 0. *)
@@ -611,6 +640,8 @@ let () =
           Alcotest.test_case "implied-free column" `Quick test_free_col_subst;
           Alcotest.test_case "coefficient strengthening" `Quick test_coef_strengthen;
           Alcotest.test_case "clique reduction" `Quick test_clique_reduce;
+          Alcotest.test_case "partly counted one-hot clique" `Quick
+            test_clique_partial_one_hot;
           Alcotest.test_case "clique probing" `Quick test_probe;
           Alcotest.test_case "empty-row infeasibility" `Quick
             test_empty_row_infeasibility;
