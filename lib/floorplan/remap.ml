@@ -13,13 +13,10 @@ let src = Logs.Src.create "agingfp.remap" ~doc:"Aging-aware remapping"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-type step1_method = Greedy_pack | Milp_relax
-
 type params = {
   seed : int;
   encoding : Ilp_model.encoding;
   objective : Ilp_model.objective;
-  step1 : step1_method;
   candidate_params : Candidates.params;
   path_params : Paths.params;
   milp : Milp.params;
@@ -38,7 +35,6 @@ let default_params =
     seed = 20200310;
     encoding = Ilp_model.Hybrid;
     objective = Ilp_model.Min_displacement;
-    step1 = Greedy_pack;
     candidate_params = Candidates.default_params;
     path_params = Paths.default_params;
     milp = { Milp.default_params with node_limit = 120 };
@@ -267,16 +263,13 @@ let pack_context ?(budget = Budget.unlimited) design ~candidates ~st_target ~com
 
 (* ST_target and the committed loads only enter formulation (3)
    through the stress-budget RHS, so across Algorithm 1's Δ-relaxation
-   attempts (and the ST_target bisection of Step 1's Milp_relax probe)
-   each instance is built and assembled once; later attempts rebudget
-   the rows in place and warm-restart the simplex from the previous
-   basis. *)
-type solver_cache = {
-  mutable mono : (Ilp_model.instance * Simplex.state) option;
-  per_ctx : (int, Ilp_model.instance * Simplex.state) Hashtbl.t;
-}
+   attempts each group's instance is built and assembled once; later
+   attempts rebudget the rows in place and warm-restart the simplex
+   from the previous basis. Keyed by the group's contexts, in
+   increasing order. *)
+type solver_cache = (int list, Ilp_model.instance * Simplex.state) Hashtbl.t
 
-let new_cache () = { mono = None; per_ctx = Hashtbl.create 8 }
+let new_cache () : solver_cache = Hashtbl.create 8
 
 (* Warm state carried across repeated solves of the {e same}
    (design, baseline, params) triple — the server's re-submission
@@ -312,16 +305,16 @@ let lint_instance inst =
       (Analyze.lint (Ilp_model.model inst))
   | _ -> ()
 
-(* Rebudget a cached instance + state and re-solve its LP relaxation
-   warm; on a cache miss, [build] makes the instance and the first
-   solve runs cold. Feeds the global Milp counters either way, and
-   reports the same delta to [stats_note] so the caller can attribute
-   the work to a ladder rung. When [certify] is set, any optimal point
-   is re-verified in exact arithmetic against the (rebudgeted) model
+(* Rebudget the cached instance of [group] and re-solve its LP
+   relaxation warm; on a cache miss, [build] makes the instance and
+   the first solve runs cold. The stats delta goes to the global Milp
+   counters and to [stats_note], so the caller can attribute the work
+   to a ladder rung. When [certify] is set, any optimal point is
+   re-verified in exact arithmetic against the (rebudgeted) model
    before it is trusted. *)
-let cached_lp_solve ~certify ~budget ~stats_note ~get ~set ~build ~st_target ~committed =
+let cached_lp_solve ~certify ~budget ~stats_note ~cache ~build ~st_target ~committed group =
   let inst, st, fresh =
-    match get () with
+    match Hashtbl.find_opt cache group with
     | Some (inst, st) ->
       Ilp_model.set_st_target inst ~st_target ~committed;
       List.iter
@@ -332,7 +325,7 @@ let cached_lp_solve ~certify ~budget ~stats_note ~get ~set ~build ~st_target ~co
       let inst = build () in
       lint_instance inst;
       let st = Simplex.assemble (Ilp_model.model inst) in
-      set (inst, st);
+      Hashtbl.replace cache group (inst, st);
       (inst, st, true)
   in
   (* The cached state may have been assembled under an earlier (or no)
@@ -342,25 +335,21 @@ let cached_lp_solve ~certify ~budget ~stats_note ~get ~set ~build ~st_target ~co
   let status = if fresh then Simplex.solve_state st else Simplex.reoptimize st in
   let s1 = Simplex.state_stats st in
   let warm = s1.Simplex.warm_solves > s0.Simplex.warm_solves in
-  let iterations = s1.Simplex.lp_iterations - s0.Simplex.lp_iterations in
-  let warm_fallbacks = s1.Simplex.warm_fallbacks - s0.Simplex.warm_fallbacks in
-  Milp.note_lp_solve ~warm ~iterations ~warm_fallbacks
-    ~refactorizations:(s1.Simplex.refactorizations - s0.Simplex.refactorizations)
-    ~eta_updates:(s1.Simplex.eta_updates - s0.Simplex.eta_updates)
-    ~fill_in:s1.Simplex.fill_in
-    ~drift_refreshes:(s1.Simplex.drift_refreshes - s0.Simplex.drift_refreshes) ();
-  stats_note ~milp:false
+  let delta =
     {
       Milp.zero_stats with
       Milp.warm_solves = (if warm then 1 else 0);
       cold_solves = (if warm then 0 else 1);
-      warm_fallbacks;
-      lp_iterations = iterations;
+      warm_fallbacks = s1.Simplex.warm_fallbacks - s0.Simplex.warm_fallbacks;
+      lp_iterations = s1.Simplex.lp_iterations - s0.Simplex.lp_iterations;
       refactorizations = s1.Simplex.refactorizations - s0.Simplex.refactorizations;
       eta_updates = s1.Simplex.eta_updates - s0.Simplex.eta_updates;
       fill_in = s1.Simplex.fill_in;
       drift_refreshes = s1.Simplex.drift_refreshes - s0.Simplex.drift_refreshes;
-    };
+    }
+  in
+  Milp.note delta;
+  stats_note ~milp:false delta;
   (match status with
   | Simplex.Optimal sol when certify ->
     (* [set_st_target] keeps the instance's model current, so the
@@ -399,73 +388,107 @@ let paths_ok design mapping monitored ctx =
       Analysis.wire_length design mapping b.Paths.path <= b.Paths.wire_budget)
     monitored.(ctx)
 
-(* ---------- per-context MILP solve ---------- *)
+(* Run [pass] over [order]. When it fails at element [x] ([Error (Some
+   x)]), move [x] to the front and run it again, at most [retries] more
+   times: a sequential order, not joint infeasibility, is the usual
+   culprit. [Error None] (every element fit but a path budget broke) is
+   final. *)
+let promotion_retry ~budget ~retries pass order =
+  let rec go order tries =
+    match pass order with
+    | Ok result -> Some result
+    | Error None -> None
+    | Error (Some failed) ->
+      if tries = 0 || Budget.expired budget then None
+      else
+        let rest = List.filter (( <> ) failed) (Array.to_list order) in
+        go (Array.of_list (failed :: rest)) (tries - 1)
+  in
+  go order retries
 
-let solve_context params design baseline ~candidates ~monitored ~st_target ~committed
-    ~cache ~budget ~machinery ~note ~stats_note ctx current =
-  (* Fast path: LP relaxation + structured rounding; fall back to the
-     paper's two-step MILP when rounding misses or breaks a path
-     budget. The ladder's [machinery] caps what this is allowed to
-     cost: [Lp_rounding] skips the branch & bound. *)
-  let try_rounding lp_value =
-    let committed' = Array.copy committed in
-    let dfg = Design.context design ctx in
-    let assignment = Array.make (Dfg.num_ops dfg) (-1) in
-    if pack_context ~budget design ~candidates ~st_target ~committed:committed' ~lp_value
-         ctx assignment
-    then begin
+(* ---------- one group of contexts ---------- *)
+
+(* Algorithm 1's solve of Eq. (3) for the contexts of [order] against
+   the residual budgets [committed], onto [current]: the group's LP
+   relaxation, then LP-guided packing of its contexts in [order], then
+   the paper's two-step MILP when packing misses or breaks a path
+   budget. The ladder's [machinery] caps what this may cost:
+   [Lp_rounding] skips the branch & bound. The monolithic group (every
+   context) and the per-context groups (one each) differ only where
+   [mono] says so. On success the group's stress is committed. *)
+let solve_group params design reference ~candidates ~monitored ~st_target ~committed
+    ~cache ~budget ~machinery ~note ~stats_note ~mono order current =
+  let shape = if mono then "monolithic" else "per-context" in
+  let group = List.sort compare (Array.to_list order) in
+  let group_paths_ok mapping =
+    List.for_all (fun ctx -> paths_ok design mapping monitored ctx) group
+  in
+  (* One packing pass over the group's contexts in [order]; the
+     monolithic group promotes a failed context and retries. *)
+  let pack lp_value =
+    let pass order =
+      let committed' = Array.copy committed in
       let arrays =
-        Array.init (Design.num_contexts design) (fun c ->
-            if c = ctx then assignment else Mapping.context_array current c)
+        Array.init (Design.num_contexts design) (Mapping.context_array current)
       in
-      let mapping = Mapping.of_arrays arrays in
-      if paths_ok design mapping monitored ctx then begin
-        Array.blit committed' 0 committed 0 (Array.length committed);
-        Some mapping
+      let failed = ref None in
+      Array.iter
+        (fun ctx ->
+          if
+            !failed = None
+            && (Budget.expired budget
+               || not
+                    (pack_context ~budget design ~candidates ~st_target
+                       ~committed:committed' ~lp_value:(lp_value ctx) ctx arrays.(ctx)))
+          then failed := Some ctx)
+        order;
+      if !failed <> None then Error !failed
+      else begin
+        let mapping = Mapping.of_arrays arrays in
+        if group_paths_ok mapping then begin
+          Array.blit committed' 0 committed 0 (Array.length committed);
+          Ok mapping
+        end
+        else Error None
       end
-      else None
-    end
-    else None
+    in
+    promotion_retry ~budget ~retries:(if mono then 2 else 0) pass order
   in
   let inst, lp_status =
-    cached_lp_solve ~certify:params.certify ~budget ~stats_note
-      ~get:(fun () -> Hashtbl.find_opt cache.per_ctx ctx)
-      ~set:(fun entry -> Hashtbl.replace cache.per_ctx ctx entry)
+    cached_lp_solve ~certify:params.certify ~budget ~stats_note ~cache
       ~build:(fun () ->
         Ilp_model.build ~encoding:params.encoding ~objective:params.objective design
-          ~baseline ~st_target ~candidates ~monitored ~contexts:[ ctx ] ~committed)
-      ~st_target ~committed
+          ~baseline:reference ~st_target ~candidates ~monitored ~contexts:group ~committed)
+      ~st_target ~committed group
   in
   let lp_model = Ilp_model.model inst in
   match lp_status with
   | Simplex.Infeasible ->
-    (* The residual budget cannot host this context at all. *)
+    (* The residual budget cannot host this group at all. *)
     None
   | (Simplex.Unbounded | Simplex.Iteration_limit | Simplex.Deadline | Simplex.Fault _)
     as s ->
     (* No usable relaxation — not the same thing as infeasible.
-       Record the downgrade and try the unguided packer, which needs
-       no LP at all. *)
+       Record the downgrade and pack unguided, which needs no LP at
+       all. *)
     note (lp_cut_reason s)
-      (Format.asprintf "per-context LP relaxation unusable (%a); unguided rounding"
+      (Format.asprintf "%s LP relaxation unusable (%a); unguided rounding" shape
          Simplex.pp_status s);
-    try_rounding (fun _ _ -> 0.0)
+    pack (fun _ _ _ -> 0.0)
   | Simplex.Optimal sol -> (
-    (* Guide the rounding pass with the fractional relaxation. *)
-    let lp_value op pe =
+    let lp_value ctx op pe =
       match Ilp_model.var inst ~ctx ~op ~pe with
       | Some v -> sol.Agingfp_lp.Simplex.values.(v)
       | None -> 0.0
     in
-    match try_rounding lp_value with
+    match pack lp_value with
     | Some mapping -> Some mapping
-    | None when Ilp_model.num_binaries inst > 2400 ->
+    | None when not mono && Ilp_model.num_binaries inst > 2400 ->
       (* On very large per-context models a failed attempt must stay
          cheap (Algorithm 1 simply relaxes ST_target by Δ and retries,
          and the refinement pass recovers leveling quality afterwards).
-         With presolve + warm-started nodes the B&B fallback is cheap
-         enough to double the eligibility threshold of the cold-solve
-         era. *)
+         With presolve and warm-started nodes the B&B fallback is cheap
+         enough up to 2400 binaries. *)
       None
     | None -> (
       match milp_params_for params ~budget machinery with
@@ -475,18 +498,19 @@ let solve_context params design baseline ~candidates ~monitored ~st_target ~comm
            per-context fallback budget small — Δ-relaxation plus
            refinement recover quality more cheaply than deep
            search. *)
-        let fallback_params =
-          { milp_params with Milp.node_limit = min milp_params.Milp.node_limit 24 }
+        let milp_params =
+          if mono then milp_params
+          else { milp_params with Milp.node_limit = min milp_params.Milp.node_limit 24 }
         in
         let milp_result, milp_stats =
-          Milp.relax_and_fix_with_stats ~params:fallback_params lp_model
+          Milp.relax_and_fix_with_stats ~params:milp_params lp_model
         in
         stats_note ~milp:true milp_stats;
         if params.certify then
           note_certificate ~kind:`Milp (Certify.result lp_model milp_result);
         (match (milp_result, milp_stats.Milp.stop) with
         | Milp.Feasible _, _ | _, Budget.Optimal -> ()
-        | _, reason -> note reason "per-context branch & bound cut short");
+        | _, reason -> note reason (shape ^ " branch & bound cut short"));
         match milp_result with
         | Milp.Feasible sol ->
           let mapping =
@@ -494,16 +518,17 @@ let solve_context params design baseline ~candidates ~monitored ~st_target ~comm
               ~values:(fun v -> sol.Agingfp_lp.Simplex.values.(v))
               current
           in
-          if not (paths_ok design mapping monitored ctx) then None
+          if not (group_paths_ok mapping) then None
           else begin
-            (* Commit the assigned stress. *)
-            let dfg = Design.context design ctx in
-            for op = 0 to Dfg.num_ops dfg - 1 do
-              if not (Candidates.is_frozen candidates ~ctx ~op) then begin
-                let pe = Mapping.pe_of mapping ~ctx ~op in
-                committed.(pe) <- committed.(pe) +. Stress.op_stress design ~ctx ~op
-              end
-            done;
+            List.iter
+              (fun ctx ->
+                for op = 0 to Dfg.num_ops (Design.context design ctx) - 1 do
+                  if not (Candidates.is_frozen candidates ~ctx ~op) then begin
+                    let pe = Mapping.pe_of mapping ~ctx ~op in
+                    committed.(pe) <- committed.(pe) +. Stress.op_stress design ~ctx ~op
+                  end
+                done)
+              group;
             Some mapping
           end
         | Milp.Infeasible | Milp.Unknown -> None)))
@@ -536,146 +561,34 @@ let estimate_binaries design candidates =
   done;
   !total
 
-let attempt ?cache ?(budget = Budget.unlimited) ?(machinery = Full_milp)
-    ?(note = fun _ _ -> ()) ?(stats_note = fun ~milp:_ _ -> ()) params design baseline
+(* One pass over the groups, heaviest first: one monolithic group when
+   the model is small enough, else one group per context against the
+   stress the earlier groups committed. A failed per-context group is
+   promoted to the front and the pass retried twice. *)
+let attempt ~cache ~budget ~machinery ~note ~stats_note params design reference
     ~candidates ~monitored ~frozen ~st_target =
-  let cache = match cache with Some c -> c | None -> new_cache () in
-  let monolithic = estimate_binaries design candidates <= params.monolithic_var_limit in
-  let committed = frozen_stress design frozen in
-  let all_contexts = List.init (Design.num_contexts design) (fun i -> i) in
-  let all_paths_ok mapping =
-    List.for_all (fun ctx -> paths_ok design mapping monitored ctx) all_contexts
-  in
-  (* Sequential LP-guided rounding over every context; shared by both
-     strategies as the fast integerization path. A failed context is
-     promoted to the front and the pass retried — sequential packing
-     order, not joint infeasibility, is the usual culprit. *)
-  let round_pass lp_value order =
-    let committed' = Array.copy committed in
-    let arrays =
-      Array.init (Design.num_contexts design) (fun c -> Mapping.context_array baseline c)
-    in
-    let failed = ref (-1) in
+  let order = context_order design candidates in
+  let mono = estimate_binaries design candidates <= params.monolithic_var_limit in
+  let groups = if mono then [| order |] else Array.map (fun ctx -> [| ctx |]) order in
+  let pass groups =
+    let committed = frozen_stress design frozen in
+    let current = ref reference in
+    let failed = ref None in
     Array.iter
-      (fun ctx ->
-        if !failed < 0 then
-          if
-            Budget.expired budget
-            || not
-                 (pack_context ~budget design ~candidates ~st_target ~committed:committed'
-                    ~lp_value:(lp_value ctx) ctx arrays.(ctx))
-          then failed := ctx)
-      order;
-    if !failed >= 0 then Error !failed
-    else begin
-      let mapping = Mapping.of_arrays arrays in
-      if all_paths_ok mapping then Ok mapping else Error (-1)
-    end
+      (fun group ->
+        if !failed = None then
+          if Budget.expired budget then failed := Some group
+          else
+            match
+              solve_group params design reference ~candidates ~monitored ~st_target
+                ~committed ~cache ~budget ~machinery ~note ~stats_note ~mono group !current
+            with
+            | Some mapping -> current := mapping
+            | None -> failed := Some group)
+      groups;
+    if !failed = None then Ok !current else Error !failed
   in
-  let round_all lp_value =
-    let base_order = context_order design candidates in
-    let rec retry order tries =
-      match round_pass lp_value order with
-      | Ok mapping -> Some mapping
-      | Error failed ->
-        if tries = 0 || failed < 0 || Budget.expired budget then None
-        else begin
-          let promoted =
-            Array.of_list
-              (failed :: List.filter (fun c -> c <> failed) (Array.to_list order))
-          in
-          retry promoted (tries - 1)
-        end
-    in
-    retry base_order 2
-  in
-  if monolithic then (
-    let inst, lp_status =
-      cached_lp_solve ~certify:params.certify ~budget ~stats_note
-        ~get:(fun () -> cache.mono)
-        ~set:(fun entry -> cache.mono <- Some entry)
-        ~build:(fun () ->
-          Ilp_model.build ~encoding:params.encoding ~objective:params.objective design
-            ~baseline ~st_target ~candidates ~monitored ~contexts:all_contexts ~committed)
-        ~st_target ~committed
-    in
-    let lp_model = Ilp_model.model inst in
-    match lp_status with
-    | Simplex.Infeasible -> None
-    | (Simplex.Unbounded | Simplex.Iteration_limit | Simplex.Deadline | Simplex.Fault _)
-      as s ->
-      (* Historically a silent fallback; the downgrade to unguided
-         rounding is now logged and lands in the degradation trail. *)
-      note (lp_cut_reason s)
-        (Format.asprintf "monolithic LP relaxation unusable (%a); unguided rounding"
-           Simplex.pp_status s);
-      round_all (fun _ _ _ -> 0.0)
-    | Simplex.Optimal sol -> (
-      let lp_value ctx op pe =
-        match Ilp_model.var inst ~ctx ~op ~pe with
-        | Some v -> sol.Agingfp_lp.Simplex.values.(v)
-        | None -> 0.0
-      in
-      match round_all lp_value with
-      | Some mapping -> Some mapping
-      | None -> (
-        match milp_params_for params ~budget machinery with
-        | None -> None
-        | Some milp_params -> (
-          let milp_result, milp_stats =
-            Milp.relax_and_fix_with_stats ~params:milp_params lp_model
-          in
-          stats_note ~milp:true milp_stats;
-          if params.certify then
-            note_certificate ~kind:`Milp (Certify.result lp_model milp_result);
-          (match (milp_result, milp_stats.Milp.stop) with
-          | Milp.Feasible _, _ | _, Budget.Optimal -> ()
-          | _, reason -> note reason "monolithic branch & bound cut short");
-          match milp_result with
-          | Milp.Feasible sol ->
-            let mapping =
-              Ilp_model.extract inst
-                ~values:(fun v -> sol.Agingfp_lp.Simplex.values.(v))
-                baseline
-            in
-            if all_paths_ok mapping then Some mapping else None
-          | Milp.Infeasible | Milp.Unknown -> None))))
-  else begin
-    let pass order =
-      let committed' = Array.copy committed in
-      let current = ref baseline in
-      let failed = ref (-1) in
-      Array.iter
-        (fun ctx ->
-          if !failed < 0 then begin
-            if Budget.expired budget then failed := ctx
-            else
-              match
-                solve_context params design baseline ~candidates ~monitored ~st_target
-                  ~committed:committed' ~cache ~budget ~machinery ~note ~stats_note ctx
-                  !current
-              with
-              | Some mapping -> current := mapping
-              | None -> failed := ctx
-          end)
-        order;
-      if !failed < 0 then Ok !current else Error !failed
-    in
-    let rec retry order tries =
-      match pass order with
-      | Ok mapping -> Some mapping
-      | Error failed ->
-        if tries = 0 || Budget.expired budget then None
-        else begin
-          let promoted =
-            Array.of_list
-              (failed :: List.filter (fun c -> c <> failed) (Array.to_list order))
-          in
-          retry promoted (tries - 1)
-        end
-    in
-    retry (context_order design candidates) 2
-  end
+  promotion_retry ~budget ~retries:(if mono then 0 else 2) pass groups
 
 (* ---------- Step 1: ST_target lower bound ---------- *)
 
@@ -698,30 +611,21 @@ let step1_lower_bound ?(params = default_params) ?(budget = Budget.unlimited) de
       Candidates.build ~budget ~params:step1_cand_params design baseline ~frozen
         ~monitored
     in
-    (* One warm-started solver cache across the whole bisection — only
-       the stress-budget RHS moves between probes. *)
-    let milp_relax_cache = new_cache () in
     let feasible st =
-      match params.step1 with
-      | Greedy_pack ->
-        let committed = Array.make (Fabric.num_pes (Design.fabric design)) 0.0 in
-        let ok = ref true in
-        for ctx = 0 to Design.num_contexts design - 1 do
-          if !ok then begin
-            let dfg = Design.context design ctx in
-            let assignment = Array.make (Dfg.num_ops dfg) (-1) in
-            if
-              not
-                (pack_context ~budget design ~candidates ~st_target:st ~committed
-                   ~lp_value:(fun _ _ -> 0.0) ctx assignment)
-            then ok := false
-          end
-        done;
-        !ok
-      | Milp_relax ->
-        attempt ~cache:milp_relax_cache ~budget params design baseline ~candidates
-          ~monitored ~frozen ~st_target:st
-        <> None
+      let committed = Array.make (Fabric.num_pes (Design.fabric design)) 0.0 in
+      let ok = ref true in
+      for ctx = 0 to Design.num_contexts design - 1 do
+        if !ok then begin
+          let dfg = Design.context design ctx in
+          let assignment = Array.make (Dfg.num_ops dfg) (-1) in
+          if
+            not
+              (pack_context ~budget design ~candidates ~st_target:st ~committed
+                 ~lp_value:(fun _ _ -> 0.0) ctx assignment)
+          then ok := false
+        end
+      done;
+      !ok
     in
     (* Invariant: lo infeasible, hi feasible. Stopping the bisection
        early (budget) keeps that invariant, so the bound returned is
@@ -1015,23 +919,6 @@ let solve_with_plan ?cache params design baseline ~budget ~baseline_cpd ~st_up ~
     result_of Baseline ~st:st_up ~iters:params.max_outer ~new_cpd:baseline_cpd
       ~improved:false audit baseline
 
-let run_mode ?warm params design baseline ~budget ~baseline_cpd ~st_up ~lb m =
-  (* The reference floorplan: the baseline itself (Freeze), or each
-     context rigidly re-oriented (Rotate) — identical path delays
-     either way. All candidate/displacement geometry is relative to
-     the reference; CPD acceptance is always against the baseline. *)
-  let reference, frozen = Rotation.reference ~seed:params.seed m design baseline in
-  let cache =
-    Option.map
-      (fun w ->
-        match m with
-        | Rotation.Freeze -> w.freeze_cache
-        | Rotation.Rotate -> w.rotate_cache)
-      warm
-  in
-  solve_with_plan ?cache params design baseline ~budget ~baseline_cpd ~st_up ~lb
-    ~reference ~frozen
-
 let budget_of_params params =
   match params.deadline_s with
   | None -> Budget.unlimited
@@ -1049,10 +936,13 @@ let budget_of_params params =
    the ladder gets whatever it leaves. *)
 let step1_fraction = 0.15
 
-let solve_both ?warm ?(params = default_params) design baseline =
+(* What [solve] and [solve_both] share: validate the baseline, run
+   Step 1 under its slice of the deadline, and return the whole
+   solve's budget with a runner for one mode under a given budget. *)
+let prepare ?warm ~where params design baseline =
   (match Mapping.validate design baseline with
   | Ok () -> ()
-  | Error msg -> Invariant.invalid ~where:"Remap.solve_both" "invalid baseline: %s" msg);
+  | Error msg -> Invariant.invalid ~where "invalid baseline: %s" msg);
   let budget = budget_of_params params in
   let baseline_cpd = Analysis.cpd design baseline in
   let st_up = Stress.max_accumulated design baseline in
@@ -1061,6 +951,27 @@ let solve_both ?warm ?(params = default_params) design baseline =
       ~budget:(Budget.slice budget ~fraction:step1_fraction)
       design baseline
   in
+  let run budget m =
+    (* The reference floorplan: the baseline itself (Freeze), or each
+       context rigidly re-oriented (Rotate) — identical path delays
+       either way. All candidate/displacement geometry is relative to
+       the reference; CPD acceptance is always against the baseline. *)
+    let reference, frozen = Rotation.reference ~seed:params.seed m design baseline in
+    let cache =
+      Option.map
+        (fun w ->
+          match m with
+          | Rotation.Freeze -> w.freeze_cache
+          | Rotation.Rotate -> w.rotate_cache)
+        warm
+    in
+    solve_with_plan ?cache params design baseline ~budget ~baseline_cpd ~st_up ~lb
+      ~reference ~frozen
+  in
+  (budget, run)
+
+let solve_both ?warm ?(params = default_params) design baseline =
+  let budget, run = prepare ?warm ~where:"Remap.solve_both" params design baseline in
   (* The two modes share nothing but Step 1's bound, so they run as
      one two-task batch: concurrently when a second domain is free,
      otherwise one after the other on this domain, Freeze first. Both
@@ -1073,12 +984,7 @@ let solve_both ?warm ?(params = default_params) design baseline =
       (Rotation.Freeze, Budget.slice budget ~fraction:0.5); (Rotation.Rotate, budget);
     |]
   in
-  let results =
-    Pool.map (Pool.get 2)
-      (fun (m, budget) ->
-        run_mode ?warm params design baseline ~budget ~baseline_cpd ~st_up ~lb m)
-      modes
-  in
+  let results = Pool.map (Pool.get 2) (fun (m, budget) -> run budget m) modes in
   let frozen_res = results.(0) and rotated = results.(1) in
   (* The complete method: rotation widens the search space, but a
      particular re-orientation can still lose to the identity
@@ -1093,17 +999,6 @@ let solve_both ?warm ?(params = default_params) design baseline =
 let solve ?warm ?(params = default_params) ~mode design baseline =
   match mode with
   | Rotation.Freeze ->
-    (match Mapping.validate design baseline with
-    | Ok () -> ()
-    | Error msg -> Invariant.invalid ~where:"Remap.solve" "invalid baseline: %s" msg);
-    let budget = budget_of_params params in
-    let baseline_cpd = Analysis.cpd design baseline in
-    let st_up = Stress.max_accumulated design baseline in
-    let lb =
-      step1_lower_bound ~params
-        ~budget:(Budget.slice budget ~fraction:step1_fraction)
-        design baseline
-    in
-    run_mode ?warm params design baseline ~budget ~baseline_cpd ~st_up ~lb
-      Rotation.Freeze
+    let budget, run = prepare ?warm ~where:"Remap.solve" params design baseline in
+    run budget Rotation.Freeze
   | Rotation.Rotate -> snd (solve_both ?warm ~params design baseline)

@@ -2,35 +2,31 @@
 
     Pipeline (paper §V):
     + Step 1 — binary search for the accumulated-stress lower bound
-      [ST_target], executing the delay-unaware relaxation of (3);
+      [ST_target], probing the delay-unaware relaxation of (3) with a
+      best-fit-decreasing packing;
     + Step 2.1 — critical-path constraint generation ({!Rotation});
     + Step 2.2 — path wire-length budgets ({!Paths});
     + Step 2.3 — iterate the two-step MILP, relaxing [ST_target] by Δ
       until a floorplan exists {e and} the exact re-computed CPD does
       not exceed the original CPD.
 
-    Two solve shapes, picked by problem size
-    ([monolithic_var_limit]): a monolithic MILP over all contexts
-    (the paper's formulation verbatim), or a per-context solve
-    against residual per-PE stress budgets — the scaling
-    decomposition of DESIGN.md §5.
-
-    Every MILP is the paper's two-step solve of Eq. (3)
+    One group solver runs Eq. (3) on a group of contexts: every
+    context at once when the estimated binaries number at most
+    [monolithic_var_limit] (the paper's formulation verbatim), or one
+    context at a time against the residual per-PE stress budgets the
+    earlier groups left (the scaling decomposition of DESIGN.md §5).
+    For each group it solves the LP relaxation, packs the group's
+    contexts guided by it, and falls back to the paper's two-step MILP
     ({!Agingfp_lp.Milp.relax_and_fix}): LP relaxation, pre-mapping of
     binaries [>= 0.95], then branch & bound with the search of
     [params.milp] — by default the first feasible floorplan. *)
 
 open Agingfp_cgrra
 
-type step1_method =
-  | Greedy_pack     (** best-fit-decreasing feasibility probe (fast) *)
-  | Milp_relax      (** the paper's two-step MILP on the delay-unaware model *)
-
 type params = {
   seed : int;
   encoding : Ilp_model.encoding;
   objective : Ilp_model.objective;
-  step1 : step1_method;
   candidate_params : Candidates.params;
   path_params : Paths.params;
   milp : Agingfp_lp.Milp.params;

@@ -118,24 +118,9 @@ let with_cum f =
 
 let reset_cumulative () = with_cum (fun () -> cum := zero_stats)
 let cumulative () = with_cum (fun () -> !cum)
-let accumulate s =
+let note s =
   let s = { s with dual_bound = Float.nan } in
   with_cum (fun () -> cum := add_stats !cum s)
-
-let note_lp_solve ?(warm_fallbacks = 0) ?(refactorizations = 0) ?(eta_updates = 0)
-    ?(fill_in = 0) ?(drift_refreshes = 0) ~warm ~iterations () =
-  accumulate
-    {
-      zero_stats with
-      warm_solves = (if warm then 1 else 0);
-      cold_solves = (if warm then 0 else 1);
-      warm_fallbacks;
-      lp_iterations = iterations;
-      refactorizations;
-      eta_updates;
-      fill_in;
-      drift_refreshes;
-    }
 
 let pp_result ppf = function
   | Feasible s -> Format.fprintf ppf "feasible (obj = %g)" s.objective
@@ -466,7 +451,7 @@ let presolve_model ~(params : params) model0 =
 
 (* The answer for a model presolve refuted: no LP ran. *)
 let refuted () =
-  accumulate zero_stats;
+  note zero_stats;
   (Infeasible, zero_stats)
 
 (* The search step: branch & bound on the presolved model [pre] (on a
@@ -490,7 +475,7 @@ let search_with_stats ~params model0 pre =
     tree_search ~params ~sign ~int_vars ~lp_params model
   in
   let stats = { search with presolve = reductions } in
-  accumulate stats;
+  note stats;
   let result =
     match incumbent with
     | Some sol ->
@@ -519,10 +504,6 @@ let solve ?params model0 = fst (solve_with_stats ?params model0)
    root LP, the pre-mapped search and, when that fails, the fallback
    search of [pre0] itself. *)
 let relax_and_fix_presolved ~threshold ~params model0 pre0 =
-  (* The root relaxation is counted both in the returned per-call stats
-     (folded in below) and in the global cumulative counters (via
-     note_lp_solve), so the two accountings agree. *)
-  let root_stats ~iterations = { zero_stats with cold_solves = 1; lp_iterations = iterations } in
   let lp_params =
     if Budget.is_unlimited params.budget then params.lp_params
     else { params.lp_params with Simplex.budget = params.budget }
@@ -531,21 +512,24 @@ let relax_and_fix_presolved ~threshold ~params model0 pre0 =
     try Simplex.solve ~params:lp_params model0
     with Faults.Injected where -> Simplex.Fault where
   in
+  (* The root relaxation is counted both in the returned per-call stats
+     and in the global cumulative counters, so the two accountings
+     agree. *)
+  let root =
+    {
+      zero_stats with
+      cold_solves = 1;
+      lp_iterations =
+        (match root_status with Simplex.Optimal relaxed -> relaxed.iterations | _ -> 0);
+    }
+  in
+  note root;
   match root_status with
-  | Simplex.Infeasible ->
-    note_lp_solve ~warm:false ~iterations:0 ();
-    (Infeasible, root_stats ~iterations:0)
-  | Simplex.Unbounded | Simplex.Iteration_limit ->
-    note_lp_solve ~warm:false ~iterations:0 ();
-    (Unknown, { (root_stats ~iterations:0) with gap = infinity })
-  | Simplex.Deadline ->
-    note_lp_solve ~warm:false ~iterations:0 ();
-    (Unknown, { (root_stats ~iterations:0) with stop = Budget.Deadline; gap = infinity })
-  | Simplex.Fault msg ->
-    note_lp_solve ~warm:false ~iterations:0 ();
-    (Unknown, { (root_stats ~iterations:0) with stop = Budget.Fault msg; gap = infinity })
+  | Simplex.Infeasible -> (Infeasible, root)
+  | Simplex.Unbounded | Simplex.Iteration_limit -> (Unknown, { root with gap = infinity })
+  | Simplex.Deadline -> (Unknown, { root with stop = Budget.Deadline; gap = infinity })
+  | Simplex.Fault msg -> (Unknown, { root with stop = Budget.Fault msg; gap = infinity })
   | Simplex.Optimal relaxed ->
-    note_lp_solve ~warm:false ~iterations:relaxed.iterations ();
     let int_vars = Model.integer_vars model0 in
     let fixed = Model.copy model0 in
     let nfixed = ref 0 in
@@ -567,7 +551,6 @@ let relax_and_fix_presolved ~threshold ~params model0 pre0 =
           Unknown)
       | r -> r
     in
-    let root = root_stats ~iterations:relaxed.iterations in
     (match solve_with_stats ~params fixed with
     | Feasible sol, stats -> (validate (Feasible sol), add_stats root stats)
     | (Infeasible | Unknown), stats ->

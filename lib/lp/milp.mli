@@ -125,7 +125,7 @@ val pp_stats : Format.formatter -> stats -> unit
 
 val reset_cumulative : unit -> unit
 (** Zero the process-wide cumulative counters (every [solve] /
-    [relax_and_fix] call and every {!note_lp_solve} accumulates into
+    [relax_and_fix] call and every {!note} accumulates into
     them). *)
 
 val cumulative : unit -> stats
@@ -134,20 +134,11 @@ val cumulative : unit -> stats
     most recent solve's" would depend on which of several concurrent
     solves finished last. Each result's own stats carry it. *)
 
-val note_lp_solve :
-  ?warm_fallbacks:int ->
-  ?refactorizations:int ->
-  ?eta_updates:int ->
-  ?fill_in:int ->
-  ?drift_refreshes:int ->
-  warm:bool ->
-  iterations:int ->
-  unit ->
-  unit
-(** Record a bare {!Simplex} solve performed outside [Milp] (the remap
-    pipeline solves many standalone LP relaxations) so it shows up in
-    {!cumulative}; the optional arguments carry the kernel-counter
-    deltas from {!Simplex.state_stats} (all default to [0]). *)
+val note : stats -> unit
+(** Add [stats] to {!cumulative}: how a bare {!Simplex} solve made
+    outside [Milp] (the remap pipeline solves many standalone LP
+    relaxations) is counted, as the kernel-counter delta from
+    {!Simplex.state_stats}. *)
 
 (** {1 Solving} *)
 

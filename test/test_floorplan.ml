@@ -353,18 +353,6 @@ let test_step1_between_mean_and_max () =
   Alcotest.(check bool) "lb <= max" true
     (lb <= Stress.max_accumulated design baseline +. 1e-9)
 
-let test_step1_milp_not_above_greedy () =
-  (* The MILP probe explores at least as much as greedy packing, so
-     its lower bound can only be tighter (or equal). *)
-  let design, baseline = tiny_placed () in
-  let greedy = Remap.step1_lower_bound design baseline in
-  let milp =
-    Remap.step1_lower_bound
-      ~params:{ Remap.default_params with step1 = Remap.Milp_relax }
-      design baseline
-  in
-  Alcotest.(check bool) "milp <= greedy + eps" true (milp <= greedy +. 0.15)
-
 (* ---------- Algorithm 1 end-to-end invariants ---------- *)
 
 let check_result design baseline (r : Remap.result) =
@@ -889,12 +877,12 @@ let test_remap_certify_clean () =
 (* ---------- solver search tripwire ---------- *)
 
 (* Exact search counters of [Remap.solve_both] on the canonical B10 (a
-   4x4 design that closes at the root) and B5 (an 8x8 design with a
-   branch-and-bound tree and warm re-solves). Kernel and pricing
-   rewrites must leave every pivot bit-identical, so these counts may
-   only change with a deliberate change to the pivot rules, the
-   refactorization policy or the search; update them then, and only
-   then. Two exceptions may move named counters, and nothing else:
+   4x4 design that closes at the root), B5 (an 8x8 design with a
+   branch-and-bound tree and warm re-solves) and B2 (below). Kernel
+   and pricing rewrites must leave every pivot bit-identical, so these
+   counts may only change with a deliberate change to the pivot rules,
+   the refactorization policy or the search; update them then, and
+   only then. Two exceptions may move named counters, and nothing else:
    the dual restore's cycle exit, which ends a repeating run of bound
    flips early and lands on the same cold restart, may move
    [lp_iterations]; relax-and-fix presolving the unfixed model first,
@@ -934,6 +922,13 @@ let test_golden_b5 =
   golden_counters "B5" ~nodes:17 ~lp_iterations:4816 ~warm:113 ~cold:83
     ~refactorizations:102 ~eta_updates:3577
     ~presolve:(53, 1070, 2349, 1423, 141)
+
+(* B2 (8x8, 4 contexts) is the only Table-I design whose monolithic
+   MILP runs a tree (B10's closes at the root, B5 solves per
+   context). *)
+let test_golden_b2 =
+  golden_counters "B2" ~nodes:122 ~lp_iterations:9971 ~warm:321 ~cold:21
+    ~refactorizations:83 ~eta_updates:8313
 
 (* The refine pass on B8's baseline under the Freeze plan: a
    16-context 8x8 design whose pass rejects most of its trials. The
@@ -1090,7 +1085,6 @@ let () =
       ( "step1",
         [
           Alcotest.test_case "between mean and max" `Quick test_step1_between_mean_and_max;
-          Alcotest.test_case "milp vs greedy" `Quick test_step1_milp_not_above_greedy;
         ] );
       ( "algorithm1",
         [
@@ -1170,6 +1164,7 @@ let () =
         [
           Alcotest.test_case "B10 golden counters" `Quick test_golden_b10;
           Alcotest.test_case "B5 golden counters" `Quick test_golden_b5;
+          Alcotest.test_case "B2 golden counters" `Quick test_golden_b2;
           Alcotest.test_case "B8 refine" `Quick test_golden_b8_refine;
         ] );
       ( "properties",
