@@ -72,6 +72,23 @@ let test_placer_seed_changes_layout () =
      catching accidental seed-ignoring regressions. *)
   Alcotest.(check bool) "different layouts" true (not (Mapping.equal m1 m2))
 
+(* The array kernel against the list-based annealer it replaced
+   (test/place_reference.ml): the same RNG draws and float expressions
+   must give the same baseline on every Table-I design. *)
+let test_anneal_matches_reference () =
+  let designs =
+    ("tiny", Benchmarks.tiny ())
+    :: Array.to_list
+         (Array.map
+            (fun spec -> (spec.Benchmarks.bname, Benchmarks.generate spec))
+            Benchmarks.table1)
+  in
+  List.iter
+    (fun (name, d) ->
+      Alcotest.(check bool) (name ^ " same mapping") true
+        (Mapping.equal (Placer.aging_unaware d) (Place_reference.aging_unaware d)))
+    designs
+
 (* ---------- timing ---------- *)
 
 let line_mapping d =
@@ -255,6 +272,8 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_anneal_deterministic;
           Alcotest.test_case "baseline concentrates stress" `Quick test_baseline_compact;
           Alcotest.test_case "seed changes layout" `Quick test_placer_seed_changes_layout;
+          Alcotest.test_case "kernel matches list reference" `Quick
+            test_anneal_matches_reference;
         ] );
       ( "timing",
         [
