@@ -1,6 +1,7 @@
 open Agingfp_cgrra
 module Rng = Agingfp_util.Rng
 module Coord = Agingfp_util.Coord
+module Pool = Agingfp_util.Pool
 
 let src = Logs.Src.create "agingfp.place" ~doc:"Baseline placer"
 
@@ -105,6 +106,12 @@ let context_cost design mapping c =
   (default_params.corner_weight *. float_of_int !corner)
   +. (default_params.wire_weight *. float_of_int !wire)
 
+(* One op's cost at [pe], given the wirelength of its incident
+   edges. Closed and small, so the compiler inlines it at each use and
+   the float is never boxed. *)
+let[@inline] op_cost params corner pe wire =
+  (params.corner_weight *. corner.(pe)) +. (params.wire_weight *. float_of_int wire)
+
 let anneal_context params design c assignment =
   let fabric = Design.fabric design in
   let dfg = Design.context design c in
@@ -115,21 +122,24 @@ let anneal_context params design c assignment =
     let rng = Rng.create (params.seed + (c * 7919)) in
     let occupant = Array.make npes (-1) in
     Array.iteri (fun o pe -> occupant.(pe) <- o) assignment;
-    let corner_of pe =
-      let p = Fabric.coord_of_pe fabric pe in
-      float_of_int (p.Coord.x + p.Coord.y)
+    (* Geometry and adjacency are fixed for the whole run, so they are
+       laid out once as flat arrays, and a move allocates nothing. *)
+    let xs = Array.init npes (fun pe -> (Fabric.coord_of_pe fabric pe).Coord.x) in
+    let ys = Array.init npes (fun pe -> (Fabric.coord_of_pe fabric pe).Coord.y) in
+    let corner = Array.init npes (fun pe -> float_of_int (xs.(pe) + ys.(pe))) in
+    let neighbours =
+      Array.init n (fun o -> Array.of_list (Dfg.preds dfg o @ Dfg.succs dfg o))
     in
-    (* Incremental cost of the edges incident to one op. *)
-    let incident_wire o pe =
-      let d q = Fabric.distance fabric pe assignment.(q) in
+    (* Manhattan length of the edges incident to op [o] placed at [pe]. *)
+    let wire o pe =
+      let x = xs.(pe) and y = ys.(pe) in
+      let ns = neighbours.(o) in
       let acc = ref 0 in
-      List.iter (fun u -> acc := !acc + d u) (Dfg.preds dfg o);
-      List.iter (fun v -> acc := !acc + d v) (Dfg.succs dfg o);
+      for i = 0 to Array.length ns - 1 do
+        let q = assignment.(ns.(i)) in
+        acc := !acc + abs (x - xs.(q)) + abs (y - ys.(q))
+      done;
       !acc
-    in
-    let op_cost o pe =
-      (params.corner_weight *. corner_of pe)
-      +. (params.wire_weight *. float_of_int (incident_wire o pe))
     in
     let temp = ref params.start_temp in
     let moves_done = ref 0 in
@@ -143,15 +153,23 @@ let anneal_context params design c assignment =
           if new_pe <> old_pe then begin
             let other = occupant.(new_pe) in
             let delta =
-              if other < 0 then op_cost o new_pe -. op_cost o old_pe
+              if other < 0 then
+                op_cost params corner new_pe (wire o new_pe)
+                -. op_cost params corner old_pe (wire o old_pe)
               else begin
                 (* Swap: evaluate both ops in both positions. Edges
                    between o and other are counted symmetrically
                    before and after, so the delta is still exact. *)
-                let before = op_cost o old_pe +. op_cost other new_pe in
+                let before =
+                  op_cost params corner old_pe (wire o old_pe)
+                  +. op_cost params corner new_pe (wire other new_pe)
+                in
                 assignment.(o) <- new_pe;
                 assignment.(other) <- old_pe;
-                let after = op_cost o new_pe +. op_cost other old_pe in
+                let after =
+                  op_cost params corner new_pe (wire o new_pe)
+                  +. op_cost params corner old_pe (wire other old_pe)
+                in
                 assignment.(o) <- old_pe;
                 assignment.(other) <- new_pe;
                 after -. before
@@ -184,9 +202,14 @@ let anneal_context params design c assignment =
   end
 
 let anneal ?(params = default_params) design mapping =
+  (* Each context draws from its own seeded generator and owns its
+     assignment array, so the contexts run as one batch: spread over
+     a second domain when one is free, in order otherwise, with the
+     same result either way. *)
   let arrays =
-    Array.init (Design.num_contexts design) (fun c ->
-        anneal_context params design c (Mapping.context_array mapping c))
+    Pool.map (Pool.get 2)
+      (fun c -> anneal_context params design c (Mapping.context_array mapping c))
+      (Array.init (Design.num_contexts design) Fun.id)
   in
   let result = Mapping.of_arrays arrays in
   (match Mapping.validate design result with

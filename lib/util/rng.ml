@@ -1,21 +1,28 @@
-type t = { mutable state : int64 }
+(* The state lives in an 8-byte buffer rather than a mutable [int64]
+   field: storing an [int64] into a record field boxes it, so every
+   draw would allocate. The buffer's accessors compile to plain loads
+   and stores. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 s;
+  t
 
-let copy t = { state = t.state }
+let create seed = of_state (Int64.of_int seed)
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  let z = t.state in
+let copy t = Bytes.copy t
+
+let[@inline] next_int64 t =
+  let z = Int64.add (Bytes.get_int64_le t 0) golden_gamma in
+  Bytes.set_int64_le t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let split t =
-  let s = next_int64 t in
-  { state = s }
+let split t = of_state (next_int64 t)
 
 let split_n t n =
   if n < 0 then Invariant.invalid ~where:"Rng.split_n" "negative count";

@@ -52,6 +52,21 @@ let test_rng_split () =
   let ys = List.init 10 (fun _ -> Rng.int b 1_000_000) in
   Alcotest.(check bool) "split streams differ" true (xs <> ys)
 
+(* The SplitMix64 stream itself, pinned: every baseline placement,
+   benchmark and rotation draws from it, so a change to how the state
+   is stored must leave these values as they are. *)
+let test_rng_golden_stream () =
+  let r = Rng.create 42 in
+  Alcotest.(check (list int)) "ints"
+    [ 707901357; 478109794; 342191872; 668283657 ]
+    (List.init 4 (fun _ -> Rng.int r 1_000_000_007));
+  Alcotest.(check (float 0.0)) "float" 0x1.378b0b448904p-5 (Rng.float r 1.0);
+  Alcotest.(check (float 0.0)) "float" 0x1.bc8863f47901bp-1 (Rng.float r 1.0);
+  let s = Rng.split r in
+  Alcotest.(check bool) "bool" false (Rng.bool r);
+  Alcotest.(check int) "after split" 572550172 (Rng.int r 1_000_000_007);
+  Alcotest.(check int) "split" 328684806 (Rng.int s 1_000_000_007)
+
 let test_rng_shuffle_permutation () =
   let r = Rng.create 3 in
   let arr = Array.init 50 (fun i -> i) in
@@ -511,6 +526,7 @@ let () =
           Alcotest.test_case "float range" `Quick test_rng_float_range;
           Alcotest.test_case "copy independent" `Quick test_rng_copy_independent;
           Alcotest.test_case "split" `Quick test_rng_split;
+          Alcotest.test_case "golden stream" `Quick test_rng_golden_stream;
           Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
           Alcotest.test_case "uniformity" `Quick test_rng_uniformity;
         ] );
