@@ -392,14 +392,15 @@ let paths_ok design mapping monitored ctx =
    x)]), move [x] to the front and run it again, at most [retries] more
    times: a sequential order, not joint infeasibility, is the usual
    culprit. [Error None] (every element fit but a path budget broke) is
-   final. *)
+   final, and so is a failure at the front: promoting it would re-run
+   the same deterministic pass. *)
 let promotion_retry ~budget ~retries pass order =
   let rec go order tries =
     match pass order with
     | Ok result -> Some result
     | Error None -> None
     | Error (Some failed) ->
-      if tries = 0 || Budget.expired budget then None
+      if tries = 0 || Budget.expired budget || failed = order.(0) then None
       else
         let rest = List.filter (( <> ) failed) (Array.to_list order) in
         go (Array.of_list (failed :: rest)) (tries - 1)
