@@ -19,10 +19,6 @@ type params = {
   objective : Ilp_model.objective;
   candidate_params : Candidates.params;
   path_params : Paths.params;
-  milp : Milp.params;
-  bisect_iters : int;
-  delta_steps : int;
-  max_outer : int;
   monolithic_var_limit : int;
   refine : bool;
   refine_params : Refine.params;
@@ -37,16 +33,23 @@ let default_params =
     objective = Ilp_model.Min_displacement;
     candidate_params = Candidates.default_params;
     path_params = Paths.default_params;
-    milp = { Milp.default_params with node_limit = 120 };
-    bisect_iters = 8;
-    delta_steps = 16;
-    max_outer = 24;
     monolithic_var_limit = 1200;
     refine = true;
     refine_params = Refine.default_params;
     certify = false;
     deadline_s = None;
   }
+
+(* Step 1 halves its ST_target bracket [bisect_iters] times. The
+   Δ-loop relaxes ST_target by Δ = (ST_up − Step-1 value) / [delta_steps]
+   per attempt, for at most [max_outer] attempts per rung. *)
+let bisect_iters = 8
+let delta_steps = 16
+let max_outer = 24
+
+(* The branch & bound of the Full_milp rung: the default first-feasible
+   search, cut at 120 nodes. *)
+let full_milp_params = { Milp.default_params with node_limit = 120 }
 
 (* ---------- degradation ladder ---------- *)
 
@@ -373,12 +376,11 @@ let lp_cut_reason = function
 
 (* The MILP machinery a ladder rung is allowed to use; [None] means no
    branch & bound at all. *)
-let milp_params_for params ~budget = function
-  | Full_milp -> Some { params.milp with Milp.budget }
+let milp_params_for ~budget = function
+  | Full_milp -> Some { full_milp_params with Milp.budget }
   | Relax_and_fix ->
     (* The cheap-MILP rung: same two-step scheme, hard-capped search. *)
-    Some
-      { params.milp with Milp.node_limit = min params.milp.Milp.node_limit 16; budget }
+    Some { full_milp_params with Milp.node_limit = 16; budget }
   | Lp_rounding | Heuristic | Baseline -> None
 
 (* Exact wire-length check of the monitored paths for one context. *)
@@ -492,7 +494,7 @@ let solve_group params design reference ~candidates ~monitored ~st_target ~commi
          enough up to 2400 binaries. *)
       None
     | None -> (
-      match milp_params_for params ~budget machinery with
+      match milp_params_for ~budget machinery with
       | None -> None
       | Some milp_params -> (
         (* Branch & bound re-solves an LP per node; keep the
@@ -628,13 +630,15 @@ let step1_lower_bound ?(params = default_params) ?(budget = Budget.unlimited) de
       done;
       !ok
     in
-    (* Invariant: lo infeasible, hi feasible. Stopping the bisection
-       early (budget) keeps that invariant, so the bound returned is
-       merely looser, never wrong. *)
+    (* Invariant: the packer fails at lo and succeeds at hi. The value
+       returned is the lowest ST_target at which the greedy packer
+       succeeded: a heuristic start for the Δ-loop, not a proven lower
+       bound (an optimal floorplan may need less). Stopping the
+       bisection early (budget) returns a higher such start. *)
     if feasible st_low then st_low
     else begin
       let lo = ref st_low and hi = ref st_up in
-      for _ = 1 to params.bisect_iters do
+      for _ = 1 to bisect_iters do
         if not (Budget.expired budget) then begin
           let mid = 0.5 *. (!lo +. !hi) in
           if feasible mid then hi := mid else lo := mid
@@ -689,7 +693,7 @@ let solve_with_plan ?cache params design baseline ~budget ~baseline_cpd ~st_up ~
       ~monitored
   in
   let floor_stress = Array.fold_left max 0.0 (frozen_stress design frozen) in
-  let delta = max ((st_up -. lb) /. float_of_int params.delta_steps) (0.01 *. st_up +. 1e-9) in
+  let delta = max ((st_up -. lb) /. float_of_int delta_steps) (0.01 *. st_up +. 1e-9) in
   let start = max lb floor_stress in
   let trail = ref [] in
   (* Per-rung solver-work accounting and the bound/gap evidence of the
@@ -760,7 +764,7 @@ let solve_with_plan ?cache params design baseline ~budget ~baseline_cpd ~st_up ~
         end
     in
     let rec loop st iter =
-      if iter > params.max_outer then Error Budget.Optimal
+      if iter > max_outer then Error Budget.Optimal
       else if Budget.expired rbudget then Error (Budget.status rbudget)
       else begin
         Log.debug (fun k ->
@@ -917,7 +921,7 @@ let solve_with_plan ?cache params design baseline ~budget ~baseline_cpd ~st_up ~
     in
     if not (Audit.ok audit) then
       Log.err (fun k -> k "%s: %a" (Design.name design) Audit.pp audit);
-    result_of Baseline ~st:st_up ~iters:params.max_outer ~new_cpd:baseline_cpd
+    result_of Baseline ~st:st_up ~iters:max_outer ~new_cpd:baseline_cpd
       ~improved:false audit baseline
 
 let budget_of_params params =

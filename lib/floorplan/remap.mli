@@ -18,8 +18,12 @@
     For each group it solves the LP relaxation, packs the group's
     contexts guided by it, and falls back to the paper's two-step MILP
     ({!Agingfp_lp.Milp.relax_and_fix}): LP relaxation, pre-mapping of
-    binaries [>= 0.95], then branch & bound with the search of
-    [params.milp] — by default the first feasible floorplan. *)
+    binaries [>= 0.95], then branch & bound to the first feasible
+    floorplan, cut at 120 nodes.
+
+    Step 1 bisects [ST_target] 8 times; the Δ-loop then relaxes it by
+    Δ = (ST_up − Step-1 value) / 16 per attempt, for at most 24
+    attempts per ladder rung. *)
 
 open Agingfp_cgrra
 
@@ -29,10 +33,6 @@ type params = {
   objective : Ilp_model.objective;
   candidate_params : Candidates.params;
   path_params : Paths.params;
-  milp : Agingfp_lp.Milp.params;
-  bisect_iters : int;
-  delta_steps : int;   (** Δ = (ST_up − lower bound) / delta_steps *)
-  max_outer : int;     (** bound on Δ-relaxation iterations *)
   monolithic_var_limit : int;
       (** one monolithic MILP when the estimated binaries number at
           most this, per-context solves otherwise: [max_int] forces
@@ -151,9 +151,12 @@ val certification : unit -> certification_stats
 
 val step1_lower_bound :
   ?params:params -> ?budget:Agingfp_util.Budget.t -> Design.t -> Mapping.t -> float
-(** The delay-unaware [ST_target] lower bound (Algorithm 1 line 2).
-    When [budget] expires mid-bisection the current feasible upper
-    end is returned — looser, never wrong. *)
+(** Step 1's [ST_target] (Algorithm 1 line 2): the lowest value at
+    which the greedy best-fit-decreasing packer of the delay-unaware
+    relaxation succeeded. It is a heuristic start for the Δ-loop, not
+    a proven lower bound: a floorplan may need less. When [budget]
+    expires mid-bisection the packer's lowest success so far is
+    returned, which is higher. *)
 
 val build_formulation :
   ?params:params -> mode:Rotation.mode -> Design.t -> Mapping.t ->

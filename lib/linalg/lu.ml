@@ -73,6 +73,7 @@ let create n =
   }
 
 let dim t = t.n
+let is_factored t = t.factored
 let eta_count t = t.neta
 let eta_nnz t = t.eta_nnz
 let total_etas t = t.total_etas

@@ -1,8 +1,8 @@
 (** Sparse LU factorization with approximate-Markowitz pivoting,
     triangular solves, and product-form (eta) updates.
 
-    The basis kernel of the revised simplex ({!Agingfp_lp} wraps it
-    behind [Basis]) and the factor-once/solve-many path of the thermal
+    The basis factorization of the revised simplex ([Agingfp_lp]'s
+    [Simplex]) and the factor-once/solve-many path of the thermal
     steady-state model. Columns are eliminated left-looking in
     increasing-count order; within a column the pivot row is the
     sparsest row whose magnitude is within a relative threshold of the
@@ -26,6 +26,9 @@ val create : int -> t
     the first {!factorize}. *)
 
 val dim : t -> int
+
+val is_factored : t -> bool
+(** The last {!factorize} succeeded: the solves may run. *)
 
 val factorize : t -> col:(int -> int array * float array) -> unit
 (** [factorize t ~col] (re)factors the matrix whose column [j] is the

@@ -6,9 +6,7 @@ module Budget = Agingfp_util.Budget
 type result = Feasible of Simplex.solution | Infeasible | Unknown
 
 type params = {
-  lp_params : Simplex.params;
   node_limit : int;
-  integrality_tol : float;
   first_solution : bool;
   presolve : bool;
   warm_start : bool;
@@ -18,15 +16,21 @@ type params = {
 
 let default_params =
   {
-    lp_params = Simplex.default_params;
     node_limit = 2000;
-    integrality_tol = 1e-6;
     first_solution = true;
     presolve = true;
     warm_start = true;
     budget = Budget.unlimited;
     heuristics = true;
   }
+
+(* Distance from an integer within which a relaxed value counts as
+   integral: for branching and for presolve's integer bound rounding. *)
+let integrality_tol = 1e-6
+
+(* Every LP of a solve runs the default simplex under the solve's
+   budget. *)
+let lp_params params = { Simplex.default_params with Simplex.budget = params.budget }
 
 type stats = {
   presolve : Presolve.reductions;
@@ -163,7 +167,7 @@ let rel_gap ~primal ~dual =
    subtrees), and every closed subtree is dominated by the incumbent;
    so [(primal - dual) / scale] bounds the incumbent's distance from
    the global optimum. *)
-let tree_search ~params ~sign ~int_vars ~lp_params model =
+let tree_search ~params ~sign ~int_vars model =
   let n_vars = Model.num_vars model in
   let root_lb = Array.init n_vars (Model.var_lb model) in
   let root_ub = Array.init n_vars (Model.var_ub model) in
@@ -223,7 +227,7 @@ let tree_search ~params ~sign ~int_vars ~lp_params model =
       | None -> None
   in
   let node_model = Model.copy model in
-  let st = Simplex.assemble ~params:lp_params node_model in
+  let st = Simplex.assemble ~params:(lp_params params) node_model in
   let solved_once = ref false in
   let applied = ref [] in
   (* Root primal heuristics (diving + feasibility pump) on the search's
@@ -239,7 +243,7 @@ let tree_search ~params ~sign ~int_vars ~lp_params model =
       let hres =
         Heuristics.run ~model:node_model ~st ~int_vars ~budget:hbudget ~relaxed:sol
       in
-      Simplex.set_budget st lp_params.Simplex.budget;
+      Simplex.set_budget st params.budget;
       List.iter
         (fun (o : Heuristics.outcome) ->
           if better o.Heuristics.objective then begin
@@ -322,8 +326,7 @@ let tree_search ~params ~sign ~int_vars ~lp_params model =
       if n.Node_store.depth = 0 then run_root_heuristics sol;
       let obj = sign *. sol.objective in
       let candidates =
-        Brancher.fractional ~integrality_tol:params.integrality_tol int_vars
-          sol.Simplex.values
+        Brancher.fractional ~integrality_tol int_vars sol.Simplex.values
       in
       (* This node's own relaxation is one free pseudocost
          observation of the branching that created it. *)
@@ -440,9 +443,7 @@ let tree_search ~params ~sign ~int_vars ~lp_params model =
    [model0] has no feasible point, [Ok None] when presolve is off. *)
 let presolve_model ~(params : params) model0 =
   if params.presolve then
-    match
-      Presolve.run ~budget:params.budget ~integrality_tol:params.integrality_tol model0
-    with
+    match Presolve.run ~budget:params.budget ~integrality_tol model0 with
     | Presolve.Proven_infeasible msg ->
       Log.debug (fun k -> k "presolve proved infeasibility: %s" msg);
       Error msg
@@ -467,13 +468,7 @@ let search_with_stats ~params model0 pre =
     | None -> (Model.copy model0, Presolve.no_reductions)
   in
   let int_vars = Model.integer_vars model in
-  let lp_params =
-    if Budget.is_unlimited params.budget then params.lp_params
-    else { params.lp_params with Simplex.budget = params.budget }
-  in
-  let incumbent, budget_hit, search =
-    tree_search ~params ~sign ~int_vars ~lp_params model
-  in
+  let incumbent, budget_hit, search = tree_search ~params ~sign ~int_vars model in
   let stats = { search with presolve = reductions } in
   note stats;
   let result =
@@ -504,12 +499,8 @@ let solve ?params model0 = fst (solve_with_stats ?params model0)
    root LP, the pre-mapped search and, when that fails, the fallback
    search of [pre0] itself. *)
 let relax_and_fix_presolved ~threshold ~params model0 pre0 =
-  let lp_params =
-    if Budget.is_unlimited params.budget then params.lp_params
-    else { params.lp_params with Simplex.budget = params.budget }
-  in
   let root_status =
-    try Simplex.solve ~params:lp_params model0
+    try Simplex.solve ~params:(lp_params params) model0
     with Faults.Injected where -> Simplex.Fault where
   in
   (* The root relaxation is counted both in the returned per-call stats
@@ -526,7 +517,9 @@ let relax_and_fix_presolved ~threshold ~params model0 pre0 =
   note root;
   match root_status with
   | Simplex.Infeasible -> (Infeasible, root)
-  | Simplex.Unbounded | Simplex.Iteration_limit -> (Unknown, { root with gap = infinity })
+  | Simplex.Unbounded -> (Unknown, { root with gap = infinity })
+  | Simplex.Iteration_limit ->
+    (Unknown, { root with stop = Budget.Iteration_limit; gap = infinity })
   | Simplex.Deadline -> (Unknown, { root with stop = Budget.Deadline; gap = infinity })
   | Simplex.Fault msg -> (Unknown, { root with stop = Budget.Fault msg; gap = infinity })
   | Simplex.Optimal relaxed ->

@@ -25,6 +25,7 @@
       the fallback branch & bound searches it without presolving
       again.
 
+    A relaxed value within [1e-6] of an integer counts as integral.
     Returned solutions are always in the original variable space with
     integer variables rounded to exact integral values. *)
 
@@ -36,9 +37,7 @@ type result =
   | Unknown  (** Budget exhausted before any integer solution. *)
 
 type params = {
-  lp_params : Simplex.params;
   node_limit : int;
-  integrality_tol : float;
   first_solution : bool;
       (** Stop at the first integer-feasible point (a feasible node or
           a root-heuristic incumbent); the default. The floorplanner
@@ -56,8 +55,8 @@ type params = {
           solving each node cold. Default [true]. *)
   budget : Agingfp_util.Budget.t;
       (** Wall-clock/allowance budget checked at every node entry and
-          threaded into presolve and the node LPs (overriding
-          [lp_params.budget] when not unlimited). On expiry the search
+          threaded into presolve and every LP of the solve, which
+          otherwise run {!Simplex.default_params}. On expiry the search
           stops and returns the best incumbent found so far. Default
           {!Agingfp_util.Budget.unlimited}. *)
   heuristics : bool;

@@ -3,6 +3,7 @@ let src = Logs.Src.create "agingfp.simplex" ~doc:"LP simplex solver"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 module Budget = Agingfp_util.Budget
+module Lu = Agingfp_linalg.Lu
 
 type solution = { values : float array; objective : float; iterations : int }
 
@@ -14,29 +15,21 @@ type status =
   | Deadline
   | Fault of string
 
-type params = {
-  max_iterations : int;
-  feasibility_tol : float;
-  optimality_tol : float;
-  kernel : Basis.kind;
-  drift_tol : float;
-  budget : Budget.t;
-}
+type params = { max_iterations : int; budget : Budget.t }
 
-let default_params =
-  {
-    max_iterations = 0;
-    feasibility_tol = 1e-7;
-    optimality_tol = 1e-7;
-    kernel = Basis.Sparse_lu;
-    drift_tol = 1e-6;
-    budget = Budget.unlimited;
-  }
+let default_params = { max_iterations = 0; budget = Budget.unlimited }
 
-(* Refactorization policy constants: [drift_check_interval] sets how
-   often the residual ‖B x_B − b‖∞ is measured (each check is O(nnz)),
-   [eta_cap] bounds the product-form eta file before a hygiene
-   refactorization regardless of drift. *)
+(* Primal feasibility and reduced-cost tolerances of the ratio test
+   and pricing. *)
+let feasibility_tol = 1e-7
+let optimality_tol = 1e-7
+
+(* Refactorization policy constants: [drift_tol] is the residual
+   ‖B x_B − b‖∞ above which the factors are refreshed,
+   [drift_check_interval] sets how often that residual is measured
+   (each check is O(nnz)), [eta_cap] bounds the product-form eta file
+   before a hygiene refactorization regardless of drift. *)
+let drift_tol = 1e-6
 let drift_check_interval = 64
 let eta_cap m = max 64 (m / 2)
 
@@ -51,9 +44,8 @@ let pp_status ppf = function
 (* Persistent solver state. Columns 0..n-1 are the model's structural
    variables, n..n+m-1 the per-row slacks, and n+m.. the phase-1
    artificials (created only for rows whose slack cannot absorb the
-   initial residual). The basis is held factorized behind the
-   {!Basis} kernel (sparse LU with eta updates by default, explicit
-   dense inverse as the selectable reference).
+   initial residual). The basis is held factorized as a sparse LU
+   with product-form eta updates ({!Lu}).
 
    The state outlives a single solve: [solve_state] optimizes cold
    (fresh slack/artificial basis), while [reoptimize] re-optimizes
@@ -93,7 +85,9 @@ type state = {
   lb : float array;
   ub : float array;
   b : float array;
-  bas : Basis.t;
+  lu : Lu.t;                 (* factors of the basis, by position *)
+  mutable last_fill : int;   (* L + U nonzeros of the last good factorization *)
+  mutable n_drift : int;     (* refactorizations forced by measured drift *)
   basis : int array;
   pos_in_basis : int array;
   x_b : float array;
@@ -134,10 +128,10 @@ let state_stats st =
     cold_solves = st.n_cold;
     warm_fallbacks = st.n_fallback;
     lp_iterations = st.n_iters;
-    refactorizations = Basis.refactorizations st.bas;
-    eta_updates = Basis.eta_updates st.bas;
-    fill_in = Basis.fill_in st.bas;
-    drift_refreshes = Basis.drift_refreshes st.bas;
+    refactorizations = Lu.factor_count st.lu;
+    eta_updates = Lu.total_etas st.lu;
+    fill_in = st.last_fill + Lu.eta_nnz st.lu;
+    drift_refreshes = st.n_drift;
   }
 
 let col_dot st y j =
@@ -172,31 +166,41 @@ let row_product st v out =
 let[@inline] priced st prod v j = if j < st.n then prod.(j) else col_dot st v j
 
 (* w = B^-1 * A_e: scatter the sparse column, solve through the
-   kernel. *)
+   factors. *)
 let ftran st j w =
   Array.fill w 0 st.m 0.0;
   let rows = st.col_rows.(j) and coefs = st.col_coefs.(j) in
   for k = 0 to Array.length rows - 1 do
     w.(rows.(k)) <- w.(rows.(k)) +. coefs.(k)
   done;
-  Basis.ftran st.bas w
+  Lu.ftran st.lu w
 
 (* Dual vector y = c_B^T B^-1, i.e. B^T y = c_B: load the basic costs
-   by position, btran through the kernel. *)
+   by position, btran through the factors. *)
 let dual_vector st cost y =
   for i = 0 to st.m - 1 do
     y.(i) <- cost.(st.basis.(i))
   done;
-  Basis.btran st.bas y
+  Lu.btran st.lu y
+
+(* out := row r of B^-1, i.e. the btran image of the r-th unit vector
+   — what the dual ratio test prices candidate columns against. *)
+let btran_unit st r out =
+  Array.fill out 0 st.m 0.0;
+  out.(r) <- 1.0;
+  Lu.btran st.lu out
 
 exception Singular_basis
 
+(* A failed factorization leaves [last_fill] at the last good one's:
+   the footprint counter never reads a half-built factor. *)
 let factorize_basis st =
-  try
-    Basis.factorize st.bas ~col:(fun i ->
-        let j = st.basis.(i) in
-        (st.col_rows.(j), st.col_coefs.(j)))
-  with Basis.Singular -> raise Singular_basis
+  (try
+     Lu.factorize st.lu ~col:(fun i ->
+         let j = st.basis.(i) in
+         (st.col_rows.(j), st.col_coefs.(j)))
+   with Lu.Singular -> raise Singular_basis);
+  st.last_fill <- Lu.fill st.lu
 
 (* rhs := b - sum over nonbasic columns of A_j v_j. *)
 let effective_rhs st rhs =
@@ -215,14 +219,14 @@ let effective_rhs st rhs =
 let recompute_basics st =
   let rhs = st.rhs_scratch in
   effective_rhs st rhs;
-  Basis.ftran st.bas rhs;
+  Lu.ftran st.lu rhs;
   Array.blit rhs 0 st.x_b 0 st.m
 
 (* Measured factorization drift ‖B x_B − (b − N x_N)‖∞: how far the
    basic values produced through the (eta-extended) factors are from
    satisfying the rows they are supposed to satisfy. O(nnz of the
    live columns) — cheap enough to poll at a fixed cadence, so the
-   kernel is refreshed when the error is real rather than on a blind
+   factors are refreshed when the error is real rather than on a blind
    iteration count. *)
 let drift st =
   let m = st.m in
@@ -247,23 +251,23 @@ let drift st =
 
 let refactorize ?(drift_triggered = false) st =
   factorize_basis st;
-  if drift_triggered then Basis.note_drift_refresh st.bas;
+  if drift_triggered then st.n_drift <- st.n_drift + 1;
   recompute_basics st
 
 (* Refactorization policy, polled once per pivot: refresh when the
    eta file outgrows its cap (hygiene), or — at the check cadence —
    when the measured residual drift exceeds the tolerance. *)
 let maybe_refactorize st iter =
-  if Basis.eta_count st.bas >= eta_cap st.m then refactorize st
+  if Lu.eta_count st.lu >= eta_cap st.m then refactorize st
   else if
     iter > 0
     && iter mod drift_check_interval = 0
-    && drift st > st.params.drift_tol
+    && drift st > drift_tol
   then refactorize ~drift_triggered:true st
 
 (* Swap column [e] (moving in direction [dir] by step [t], with
    w = B^-1 A_e precomputed) into basis row [r]; the leaving variable
-   becomes nonbasic at [leave_val]. The kernel absorbs the column
+   becomes nonbasic at [leave_val]. The factors absorb the column
    replacement as a product-form/eta update. *)
 let apply_pivot st r e dir t leave_val w =
   let m = st.m in
@@ -276,7 +280,7 @@ let apply_pivot st r e dir t leave_val w =
   st.x_b.(r) <- st.vals.(e) +. (dir *. t);
   st.basis.(r) <- e;
   st.pos_in_basis.(e) <- r;
-  try Basis.update st.bas ~r ~w with Basis.Singular -> raise Singular_basis
+  try Lu.update st.lu ~r ~w with Lu.Singular -> raise Singular_basis
 
 (* Distance column [j] can travel in direction [dir] before hitting its
    own bound, measured from vals.(j) — NOT ub - lb: after
@@ -299,7 +303,7 @@ type phase_result =
 let optimize st cost max_iter =
   let m = st.m in
   let w = st.w and y = st.y and ya = st.row_prod in
-  let opt_tol = st.params.optimality_tol in
+  let opt_tol = optimality_tol in
   let piv_tol = 1e-9 in
   let degen = ref 0 in
   let bland = ref false in
@@ -392,7 +396,7 @@ let optimize st cost max_iter =
           (* Fault injection: a perturbed step length models the
              numerical corruption of a near-singular pivot. *)
           let t = !t_best *. (if Faults.active () then Faults.step_scale () else 1.0) in
-          if t <= st.params.feasibility_tol then incr degen else degen := 0;
+          if t <= feasibility_tol then incr degen else degen := 0;
           if !degen > 200 then bland := true;
           if !degen = 0 then bland := false;
           st.n_iters <- st.n_iters + 1;
@@ -509,7 +513,9 @@ let assemble ?(params = default_params) model =
     lb;
     ub;
     b;
-    bas = Basis.create params.kernel m;
+    lu = Lu.create m;
+    last_fill = 0;
+    n_drift = 0;
     basis = Array.make (max m 1) (-1);
     pos_in_basis = Array.make (max max_cols 1) (-1);
     x_b = Array.make (max m 1) 0.0;
@@ -592,7 +598,7 @@ let reset st =
   done;
   st.ncols <- st.n_artificial_base + st.nart;
   (* The initial slack/artificial basis is a ±1 diagonal; factorizing
-     it through the kernel is O(m) and cannot be singular. *)
+     it is O(m) and cannot be singular. *)
   factorize_basis st
 
 let extract_solution st ~iterations =
@@ -632,7 +638,7 @@ let solve_state st =
       done;
       !acc
     in
-    let phase1_needed = st.nart > 0 && art_total () > st.params.feasibility_tol in
+    let phase1_needed = st.nart > 0 && art_total () > feasibility_tol in
     let phase1 =
       if not phase1_needed then Phase_optimal 0
       else begin
@@ -652,7 +658,7 @@ let solve_state st =
       Log.warn (fun k -> k "phase 1 reported unbounded: numerical trouble");
       Infeasible
     | Phase_optimal it1 ->
-      if st.nart > 0 && art_total () > st.params.feasibility_tol *. 100.0 then Infeasible
+      if st.nart > 0 && art_total () > feasibility_tol *. 100.0 then Infeasible
       else begin
         (* Lock artificials out of the problem before phase 2. *)
         lock_artificials st;
@@ -760,7 +766,7 @@ let check_row_mirror st =
     if next.(i) <> st.row_start.(i + 1) then
       Invariant.fail ~where "row %d: mirror holds entries the columns lack" i
   done;
-  if Basis.is_factored st.bas then begin
+  if Lu.is_factored st.lu then begin
     let v = Array.make (max st.m 1) 0.0 and prod = Array.make (max st.n 1) 0.0 in
     let agree what reduce =
       row_product st v prod;
@@ -774,7 +780,7 @@ let check_row_mirror st =
     dual_vector st st.cost2 v;
     agree "reduced cost" (fun j yj -> st.cost2.(j) -. yj);
     for r = 0 to st.m - 1 do
-      Basis.btran_unit st.bas r v;
+      btran_unit st r v;
       agree (Printf.sprintf "pivot row %d" r) (fun _ a -> a)
     done
   end
@@ -854,8 +860,8 @@ let note_flip st e =
    basic values from the current basis, picking leaving rows by worst
    bound violation and entering columns by the dual ratio test. A
    certified "no eligible entering column" (or a too-small pivot) is
-   only trusted against clean factors: if the kernel carries eta
-   updates or measurable residual drift, it is refactorized once and
+   only trusted against clean factors: if the factors carry eta
+   updates or measurable residual drift, the basis is refactorized once and
    the verdict re-derived — a fresh drift-free factorization passes
    straight through instead of paying the old unconditional dense
    refresh. A repeated state between pivots ends the run in
@@ -865,7 +871,6 @@ let dual_restore st =
   if m = 0 then Dual_feasible
   else begin
     st.probe.live <- false;
-    let feas_tol = st.params.feasibility_tol in
     let piv_tol = 1e-9 in
     let w = st.w and y = st.y and rho = st.rho and alpha_row = st.row_prod in
     let max_iter = (4 * (m + 1)) + 200 in
@@ -873,11 +878,11 @@ let dual_restore st =
       (* Eta-file hygiene before the violation scan: refreshing here
          also re-derives x_B, so the leaving-row choice below is made
          against the clean factors. *)
-      if Basis.eta_count st.bas >= eta_cap m then begin
+      if Lu.eta_count st.lu >= eta_cap m then begin
         refactorize st;
         st.probe.live <- false
       end;
-      let r = ref (-1) and worst = ref feas_tol in
+      let r = ref (-1) and worst = ref feasibility_tol in
       for i = 0 to m - 1 do
         let j = st.basis.(i) in
         let v =
@@ -901,7 +906,7 @@ let dual_restore st =
         let below = st.x_b.(r) < st.lb.(lv) in
         let target = if below then st.lb.(lv) else st.ub.(lv) in
         dual_vector st st.cost2 y;
-        Basis.btran_unit st.bas r rho;
+        btran_unit st r rho;
         row_product st rho alpha_row;
         let best = ref (-1) in
         let best_ratio = ref infinity in
@@ -946,8 +951,8 @@ let dual_restore st =
         let confirm verdict k =
           if refreshed then verdict
           else begin
-            let drifted = drift st > st.params.drift_tol in
-            if (not drifted) && Basis.eta_count st.bas = 0 then verdict
+            let drifted = drift st > drift_tol in
+            if (not drifted) && Lu.eta_count st.lu = 0 then verdict
             else begin
               refactorize ~drift_triggered:drifted st;
               st.probe.live <- false;
@@ -996,7 +1001,7 @@ let reoptimize st =
     let attempt () =
       (* A singular refactorization during the previous solve left no
          usable factors: nothing warm survives, restart cold. *)
-      if not (Basis.is_factored st.bas) then raise Singular_basis;
+      if not (Lu.is_factored st.lu) then raise Singular_basis;
       recompute_basics st;
       match dual_restore st with
       | Dual_infeasible -> Some Infeasible

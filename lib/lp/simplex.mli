@@ -4,12 +4,11 @@
     are handled implicitly (no explicit rows for [0 <= OP_ijk <= 1]),
     which keeps the basis small — the row count is exactly the number
     of model constraints. Infeasibility is detected with a classic
-    artificial-variable phase 1; the basis is held factorized behind
-    the {!Basis} kernel — sparse LU with product-form eta updates by
-    default, refactorized when the measured residual drift
-    ‖B x_B − b‖∞ exceeds {!params.drift_tol} or the eta file outgrows
-    its cap, with the explicit dense inverse selectable as the
-    reference implementation ({!params.kernel}).
+    artificial-variable phase 1; the basis is held factorized as a
+    sparse LU with product-form eta updates ({!Agingfp_linalg.Lu}),
+    refactorized when the measured residual drift ‖B x_B − b‖∞
+    exceeds [1e-6] or the eta file outgrows its cap. The primal
+    feasibility and reduced-cost tolerances are both [1e-7].
 
     Model assembly and optimization are split: {!assemble} builds a
     persistent solver {!state} once, {!solve_state} optimizes it from
@@ -46,16 +45,6 @@ type status =
 
 type params = {
   max_iterations : int;      (** 0 means automatic: [50 * (m + n) + 5000] *)
-  feasibility_tol : float;
-  optimality_tol : float;
-  kernel : Basis.kind;
-      (** Basis kernel: {!Basis.Sparse_lu} (default) or the dense
-          reference {!Basis.Dense}. *)
-  drift_tol : float;
-      (** Residual-drift refactorization threshold on ‖B x_B − b‖∞
-          (default [1e-6]): the factors are refreshed when the basic
-          values they produce measurably stop satisfying the rows,
-          not on a blind iteration count. *)
   budget : Agingfp_util.Budget.t;
       (** Cooperative wall-clock/allowance budget, polled once per
           pivot. Defaults to {!Agingfp_util.Budget.unlimited}. *)
@@ -153,9 +142,10 @@ type state_stats = {
       (** [reoptimize] calls on a solved state that restarted cold
           (also counted in [cold_solves]) *)
   lp_iterations : int; (** total simplex pivots/bound flips *)
-  refactorizations : int; (** basis kernel factorizations *)
-  eta_updates : int;   (** product-form updates absorbed by the kernel *)
-  fill_in : int;       (** nonzeros of the live factors + eta file *)
+  refactorizations : int; (** successful basis factorizations *)
+  eta_updates : int;   (** product-form updates absorbed by the factors *)
+  fill_in : int;
+      (** nonzeros of the last successful factorization + the eta file *)
   drift_refreshes : int;
       (** refactorizations forced by measured residual drift *)
 }

@@ -85,6 +85,16 @@ let test_spurious_iteration_limit_fires () =
       | Simplex.Iteration_limit -> ()
       | s -> Alcotest.failf "expected Iteration_limit, got %a" Simplex.pp_status s)
 
+(* A root LP cut by its iteration limit must say so in the stop
+   reason, as a cut tree search does: the remap ladder reads [stop] to
+   put the cut in its degradation trail. *)
+let test_relax_and_fix_root_iteration_limit () =
+  Faults.with_spec { Faults.none with seed; p_iteration_limit = 1.0 } (fun () ->
+      let result, stats = Milp.relax_and_fix_with_stats (pivoty_lp ()) in
+      Alcotest.(check bool) "no solution" true (result = Milp.Unknown);
+      Alcotest.(check string) "stop reason" "iteration-limit"
+        (Budget.stop_reason_to_string stats.Milp.stop))
+
 let test_forged_infeasibility_fires () =
   Faults.with_spec { Faults.none with seed; p_infeasible = 1.0 } (fun () ->
       match Simplex.solve (pivoty_lp ()) with
@@ -279,6 +289,8 @@ let () =
         [
           Alcotest.test_case "spurious iteration limit" `Quick
             test_spurious_iteration_limit_fires;
+          Alcotest.test_case "relax-and-fix root iteration limit" `Quick
+            test_relax_and_fix_root_iteration_limit;
           Alcotest.test_case "forged infeasibility" `Quick
             test_forged_infeasibility_fires;
           Alcotest.test_case "mid-solve exception escapes simplex" `Quick

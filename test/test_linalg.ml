@@ -1,10 +1,9 @@
 (* Tests for dense matrices, the linear solvers backing the thermal
-   model, and the sparse LU basis kernel shared with the simplex. *)
+   model, and the sparse LU that factors the simplex basis. *)
 
 module Matrix = Agingfp_linalg.Matrix
 module Solve = Agingfp_linalg.Solve
 module Lu = Agingfp_linalg.Lu
-module Basis = Agingfp_lp.Basis
 module Rng = Agingfp_util.Rng
 
 let check_vec msg expected actual =
@@ -165,6 +164,8 @@ let test_sparse_lu_singular_refactor () =
   Lu.factorize t ~col:(cols (Matrix.of_arrays [| [| 2.; 1. |]; [| 1.; 3. |] |]));
   Alcotest.check_raises "singular" Lu.Singular (fun () ->
       Lu.factorize t ~col:(cols (Matrix.of_arrays [| [| 1.; 2. |]; [| 2.; 4. |] |])));
+  Alcotest.(check bool) "not factored" false (Lu.is_factored t);
+  Alcotest.(check int) "failed factorization not counted" 1 (Lu.factor_count t);
   match Lu.ftran t [| 1.; 1. |] with
   | () -> Alcotest.fail "ftran ran on the factors of a failed factorization"
   | exception Invalid_argument _ -> ()
@@ -195,6 +196,7 @@ let test_sparse_lu_update () =
 let test_sparse_lu_accounting () =
   let t = Lu.of_matrix (random_dd (Rng.create 7) 6) in
   Alcotest.(check bool) "fill counted" true (Lu.fill t >= 6);
+  Alcotest.(check bool) "factored" true (Lu.is_factored t);
   Alcotest.(check int) "one factorization" 1 (Lu.factor_count t);
   Alcotest.(check int) "no etas yet" 0 (Lu.eta_count t);
   Alcotest.(check int) "eta file empty" 0 (Lu.eta_nnz t)
@@ -221,9 +223,8 @@ let test_sparse_lu_solves_allocate_nothing () =
     (Array.of_list !rows, Array.of_list !coefs)
   in
   let cols = Array.init m sparse_col in
-  let lu = Lu.create m and basis = Basis.create Basis.Sparse_lu m in
+  let lu = Lu.create m in
   Lu.factorize lu ~col:(fun j -> cols.(j));
-  Basis.factorize basis ~col:(fun j -> cols.(j));
   let applied = ref 0 in
   while !applied < updates do
     let r = Rng.int rng m in
@@ -233,7 +234,6 @@ let test_sparse_lu_solves_allocate_nothing () =
     Lu.ftran lu w;
     if abs_float w.(r) > 0.01 then begin
       Lu.update lu ~r ~w;
-      Basis.update basis ~r ~w;
       incr applied
     end
   done;
@@ -257,8 +257,7 @@ let test_sparse_lu_solves_allocate_nothing () =
     Alcotest.(check (float 0.0)) (name ^ ": minor words") 0.0 (words -. overhead)
   in
   check "Lu.ftran" (Lu.ftran lu);
-  check "Lu.btran" (Lu.btran lu);
-  check "Basis.btran_unit" (fun out -> Basis.btran_unit basis (m / 2) out)
+  check "Lu.btran" (Lu.btran lu)
 
 let prop_sparse_lu_matches_dense =
   QCheck2.Test.make

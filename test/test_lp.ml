@@ -7,7 +7,6 @@ module Model = Agingfp_lp.Model
 module Simplex = Agingfp_lp.Simplex
 module Milp = Agingfp_lp.Milp
 module Presolve = Agingfp_lp.Presolve
-module Basis = Agingfp_lp.Basis
 module Lp_format = Agingfp_lp.Lp_format
 module Analyze = Agingfp_lp.Analyze
 module Certify = Agingfp_lp.Certify
@@ -354,12 +353,12 @@ let test_lp_beale_cycling () =
   | Simplex.Optimal s -> Alcotest.(check (float 1e-6)) "Beale optimum" 1.25 s.objective
   | st -> Alcotest.failf "expected optimal, got %a" Simplex.pp_status st
 
-(* ---------- Basis kernel: dense reference vs sparse LU ---------- *)
+(* ---------- LP oracle: strong duality ---------- *)
 
 (* Random multi-variable LP with sparse rows — wider than the 2-var
-   instances, so the LU kernel actually pivots, fills, and absorbs
-   etas. Finite bounds keep every instance bounded, so the two kernels
-   must agree Optimal-vs-Infeasible exactly. *)
+   instances, so the LU factors actually pivot, fill, and absorb
+   etas. Every variable lies in a finite box [0, u], so every instance
+   is either infeasible or has an optimum. *)
 let random_sparse_lp seed =
   let rng = Rng.create seed in
   let nvars = 3 + Rng.int rng 8 in
@@ -388,19 +387,50 @@ let random_sparse_lp seed =
           (Array.map (fun v -> Expr.var ~coef:(Rng.float rng 4.0 -. 2.0) v) vars)));
   m
 
-let solve_with_kernel kind m =
-  Simplex.solve ~params:{ Simplex.default_params with Simplex.kernel = kind } m
+(* The explicit dual of a [random_sparse_lp] instance, built as a
+   model of its own. The primal is max c·x over the rows
+   a_i·x (<=, >=, =) b_i and the box 0 <= x <= u. Each upper bound
+   becomes a dual column w_j >= 0, so the dual is
+   min b·y + u·w  s.t.  Aᵀy + w >= c,
+   with y_i >= 0 on <= rows, y_i <= 0 on >= rows and y_i free on =
+   rows. y = 0, w = max(c, 0) is always feasible, so the dual is
+   unbounded exactly when the primal is infeasible, and otherwise its
+   optimum equals the primal's. *)
+let explicit_dual primal =
+  let d = Model.create () in
+  let n = Model.num_vars primal in
+  let cols = Array.make n [] and obj = ref [] in
+  Model.iter_constraints primal (fun _ lhs rel rhs ->
+      let lb, ub =
+        match rel with
+        | Model.Le -> (0.0, infinity)
+        | Model.Ge -> (neg_infinity, 0.0)
+        | Model.Eq -> (neg_infinity, infinity)
+      in
+      let y = Model.add_var ~lb ~ub d in
+      obj := Expr.var ~coef:rhs y :: !obj;
+      List.iter (fun (v, a) -> cols.(v) <- Expr.var ~coef:a y :: cols.(v)) (Expr.terms lhs));
+  let dir, c = Model.objective primal in
+  assert (dir = Model.Maximize);
+  for v = 0 to n - 1 do
+    assert (Float.equal (Model.var_lb primal v) 0.0);
+    let w = Model.add_var d in
+    obj := Expr.var ~coef:(Model.var_ub primal v) w :: !obj;
+    ignore
+      (Model.add_constraint d (Expr.sum (Expr.var w :: cols.(v))) Model.Ge (Expr.coef c v))
+  done;
+  Model.set_objective d Model.Minimize (Expr.sum !obj);
+  d
 
-let prop_kernels_agree =
-  QCheck2.Test.make
-    ~name:"sparse LU and dense reference kernels agree on status and objective"
+let prop_lp_strong_duality =
+  QCheck2.Test.make ~name:"LP optimum equals the optimum of its explicit dual"
     ~count:300 QCheck2.Gen.int (fun seed ->
       let m = random_sparse_lp seed in
-      match (solve_with_kernel Basis.Dense m, solve_with_kernel Basis.Sparse_lu m) with
-      | Simplex.Optimal a, Simplex.Optimal b ->
-        abs_float (a.Simplex.objective -. b.Simplex.objective) < 1e-6
-        && Model.check_feasible m (fun v -> b.Simplex.values.(v)) = Ok ()
-      | Simplex.Infeasible, Simplex.Infeasible -> true
+      match (Simplex.solve m, Simplex.solve (explicit_dual m)) with
+      | Simplex.Optimal p, Simplex.Optimal d ->
+        abs_float (p.Simplex.objective -. d.Simplex.objective) < 1e-6
+        && Certify.solution m p = Certify.Certified
+      | Simplex.Infeasible, Simplex.Unbounded -> true
       | _ -> false)
 
 let test_kernel_counters () =
@@ -415,20 +445,7 @@ let test_kernel_counters () =
   Alcotest.(check int) "one cold solve" 1 s.Simplex.cold_solves;
   Alcotest.(check bool) "factorized at least once" true (s.Simplex.refactorizations >= 1);
   Alcotest.(check bool) "pivoted" true (s.Simplex.lp_iterations > 0);
-  Alcotest.(check bool) "fill tracked" true (s.Simplex.fill_in > 0);
-  let dense_params = { Simplex.default_params with Simplex.kernel = Basis.Dense } in
-  let std = Simplex.assemble ~params:dense_params m in
-  (match Simplex.solve_state std with
-  | Simplex.Optimal _ | Simplex.Infeasible -> ()
-  | s -> Alcotest.failf "unexpected dense status %a" Simplex.pp_status s);
-  let sd = Simplex.state_stats std in
-  (* On an instance this small the sparse factors + eta file need not
-     undercut m²; test_presolve asserts that footprint win on its
-     pinned Eq.(3) instance. *)
-  Alcotest.(check int) "dense footprint is the full inverse" (nrows * nrows)
-    sd.Simplex.fill_in;
-  Alcotest.(check bool) "dense kernel also counts factorizations" true
-    (sd.Simplex.refactorizations >= 1)
+  Alcotest.(check bool) "fill tracked" true (s.Simplex.fill_in > 0)
 
 (* ---------- Presolve ---------- *)
 
@@ -1671,7 +1688,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_simplex_matches_brute_force;
           QCheck_alcotest.to_alcotest prop_simplex_solution_feasible;
-          QCheck_alcotest.to_alcotest prop_kernels_agree;
+          QCheck_alcotest.to_alcotest prop_lp_strong_duality;
           QCheck_alcotest.to_alcotest prop_presolve_lp_roundtrip;
           QCheck_alcotest.to_alcotest prop_reoptimize_bound_change_matches_cold;
           QCheck_alcotest.to_alcotest prop_reoptimize_rhs_change_matches_cold;

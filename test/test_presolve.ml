@@ -3,12 +3,11 @@
    rule must preserve the full integer feasible set, so a model built
    around a known integer point can never presolve to infeasibility),
    and the pinned Eq.(3)-shaped guards run by @ci: presolve reductions
-   and the sparse LU kernel's footprint. *)
+   and the sparse LU factors' footprint. *)
 
 module Expr = Agingfp_lp.Expr
 module Model = Agingfp_lp.Model
 module Simplex = Agingfp_lp.Simplex
-module Basis = Agingfp_lp.Basis
 module Milp = Agingfp_lp.Milp
 module Presolve = Agingfp_lp.Presolve
 module Certify = Agingfp_lp.Certify
@@ -470,10 +469,10 @@ let prop_poisoned_matches_enumeration =
       | _ -> true)
 
 (* presolve ∘ postsolve preserves the MILP verdict and objective,
-   across basis kernels and warm/cold node starts. *)
+   across warm and cold node starts. *)
 let prop_milp_presolve_equivalence =
   QCheck2.Test.make
-    ~name:"MILP with presolve matches MILP without, all kernels, warm and cold"
+    ~name:"MILP with presolve matches MILP without, warm and cold"
     ~count:40 QCheck2.Gen.int (fun seed ->
       let m = planted_model seed in
       let base =
@@ -484,17 +483,6 @@ let prop_milp_presolve_equivalence =
           { base with Milp.presolve = false };
           { base with Milp.presolve = true };
           { base with Milp.presolve = true; warm_start = false };
-          {
-            base with
-            Milp.presolve = true;
-            warm_start = false;
-            lp_params = { base.Milp.lp_params with Simplex.kernel = Basis.Dense };
-          };
-          {
-            base with
-            Milp.presolve = true;
-            lp_params = { base.Milp.lp_params with Simplex.kernel = Basis.Dense };
-          };
         ]
       in
       let solve p = Milp.solve ~params:p m in
@@ -591,21 +579,17 @@ let test_ci_guard_eq3_reductions () =
     | v -> Alcotest.failf "pinned instance rejected: %a" Certify.pp_verdict v)
   | _ -> Alcotest.fail "pinned Eq.(3) instance must be feasible"
 
-(* The sparse LU kernel's reason to exist: on the Eq.(3) structure its
-   factors plus eta file stay far below the dense kernel's m² explicit
-   inverse at the end of the same LP solve. *)
+(* The sparse LU's reason to exist: on the Eq.(3) structure its factors
+   plus eta file stay far below the m² entries of an explicit dense
+   inverse at the end of an LP solve. *)
 let test_eq3_sparse_footprint () =
   let m = eq3_pinned_model () in
   let nrows = Model.num_constraints m in
-  let fill_after_solve kernel =
-    let st = Simplex.assemble ~params:{ Simplex.default_params with Simplex.kernel } m in
-    ignore (get_optimal (Simplex.solve_state st));
-    (Simplex.state_stats st).Simplex.fill_in
-  in
-  let dense = fill_after_solve Basis.Dense and sparse = fill_after_solve Basis.Sparse_lu in
-  Alcotest.(check int) "dense footprint is m²" (nrows * nrows) dense;
-  if sparse >= dense then
-    Alcotest.failf "sparse LU fill %d not below dense m² = %d" sparse dense
+  let st = Simplex.assemble m in
+  ignore (get_optimal (Simplex.solve_state st));
+  let fill = (Simplex.state_stats st).Simplex.fill_in in
+  if fill >= nrows * nrows then
+    Alcotest.failf "sparse LU fill %d not below dense m² = %d" fill (nrows * nrows)
 
 let test_postsolve_identity_on_no_reduction () =
   (* A model presolve cannot touch: dense, all bounds active, no
