@@ -31,6 +31,18 @@ let add_term e c v = add e (var ~coef:c v)
 
 let sum es = List.fold_left add zero es
 
+(* [List.fold_left (fun e (v, c) -> add_term e c v) zero terms], built
+   with one map update per term instead of a map union. *)
+let of_terms terms =
+  let coefs =
+    List.fold_left
+      (fun m (v, c) ->
+        if Float.equal c 0.0 then m
+        else Imap.update v (function None -> Some c | Some c0 -> merge_coef c0 c) m)
+      Imap.empty terms
+  in
+  { coefs; constant = 0.0 }
+
 let constant e = e.constant
 
 let coef e v = match Imap.find_opt v e.coefs with Some c -> c | None -> 0.0

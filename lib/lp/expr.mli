@@ -22,6 +22,11 @@ val add_term : t -> float -> int -> t
 
 val sum : t list -> t
 
+val of_terms : (int * float) list -> t
+(** [of_terms [(v1, c1); ...]] is [c1 * x_v1 + ...]: the same
+    expression as adding the terms one by one with {!add_term}, zero
+    coefficients and cancelling repeats dropped. *)
+
 val constant : t -> float
 val coef : t -> int -> float
 

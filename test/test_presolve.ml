@@ -2,8 +2,10 @@
    handcrafted models, a planted-witness soundness property (every
    rule must preserve the full integer feasible set, so a model built
    around a known integer point can never presolve to infeasibility),
-   and the pinned Eq.(3)-shaped guards run by @ci: presolve reductions
-   and the sparse LU factors' footprint. *)
+   the pinned Eq.(3)-shaped guards run by @ci (presolve reductions and
+   the sparse LU factors' footprint), and the array kernel checked bit
+   for bit against the list presolve it replaced
+   (presolve_reference.ml). *)
 
 module Expr = Agingfp_lp.Expr
 module Model = Agingfp_lp.Model
@@ -12,6 +14,11 @@ module Milp = Agingfp_lp.Milp
 module Presolve = Agingfp_lp.Presolve
 module Certify = Agingfp_lp.Certify
 module Rng = Agingfp_util.Rng
+module Benchmarks = Agingfp_cgrra.Benchmarks
+module Placer = Agingfp_place.Placer
+module Rotation = Agingfp_floorplan.Rotation
+module Ilp_model = Agingfp_floorplan.Ilp_model
+module Remap = Agingfp_floorplan.Remap
 
 let get_reduced = function
   | Presolve.Reduced t -> t
@@ -609,6 +616,185 @@ let test_postsolve_identity_on_no_reduction () =
   let values = solve_and_certify m t in
   Alcotest.(check (float 1e-6)) "symmetric optimum" 1.0 (values.(x) +. values.(y))
 
+(* ---------- array kernel against the list reference ---------- *)
+
+(* Every float printed in hex ([%h]), so equal dumps mean bit-identical
+   models: variables (name, bounds, kind), rows in order (name, terms,
+   relation, rhs) and the objective. *)
+let dump_model m =
+  let b = Buffer.create 4096 in
+  for v = 0 to Model.num_vars m - 1 do
+    Printf.bprintf b "var %d %s [%h, %h] %s\n" v (Model.var_name m v) (Model.var_lb m v)
+      (Model.var_ub m v)
+      (match Model.var_kind m v with Model.Integer -> "int" | Model.Continuous -> "cont")
+  done;
+  let terms e = String.concat " " (List.map (fun (v, c) -> Printf.sprintf "%h*x%d" c v) (Expr.terms e)) in
+  Model.iter_constraints m (fun i lhs rel rhs ->
+      Printf.bprintf b "row %d %s: %s %s %h\n" i (Model.row_name m i) (terms lhs)
+        (match rel with Model.Le -> "<=" | Model.Ge -> ">=" | Model.Eq -> "=")
+        rhs);
+  let dir, obj = Model.objective m in
+  Printf.bprintf b "%s %s + %h\n"
+    (match dir with Model.Minimize -> "min" | Model.Maximize -> "max")
+    (terms obj) (Expr.constant obj);
+  Buffer.contents b
+
+let first_difference a b =
+  let la = String.split_on_char '\n' a and lb = String.split_on_char '\n' b in
+  let rec go = function
+    | x :: xs, y :: ys -> if String.equal x y then go (xs, ys) else Printf.sprintf "%s\nvs\n%s" x y
+    | [], y :: _ -> "missing: " ^ y
+    | x :: _, [] -> "extra: " ^ x
+    | [], [] -> "none"
+  in
+  go (la, lb)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* [Ok ()] when the kernel and the reference agree on [m]: the same
+   infeasibility message, or the same reduced model, reductions
+   (per-rule table included), variable map and postsolve of two fixed
+   reduced-space points. *)
+let kernel_agrees m =
+  match (Presolve.run m, Presolve_reference.run m) with
+  | Presolve.Proven_infeasible a, Presolve_reference.Proven_infeasible b ->
+    if String.equal a b then Ok () else Error (Printf.sprintf "messages %S vs %S" a b)
+  | Presolve.Reduced _, Presolve_reference.Proven_infeasible b ->
+    Error ("only the reference refuted: " ^ b)
+  | Presolve.Proven_infeasible a, Presolve_reference.Reduced _ ->
+    Error ("only the kernel refuted: " ^ a)
+  | Presolve.Reduced k, Presolve_reference.Reduced r ->
+    let dk = dump_model (Presolve.reduced k) and dr = dump_model (Presolve_reference.reduced r) in
+    if not (String.equal dk dr) then Error ("reduced models differ: " ^ first_difference dk dr)
+    else if Presolve.reductions k <> Presolve_reference.reductions r then
+      Error
+        (Format.asprintf "reductions %a vs %a" Presolve.pp_reductions (Presolve.reductions k)
+           Presolve.pp_reductions (Presolve_reference.reductions r))
+    else begin
+      let n = Model.num_vars m and nr = Model.num_vars (Presolve.reduced k) in
+      let mapped = List.init n (fun v -> Presolve.reduced_var k v) in
+      if mapped <> List.init n (fun v -> Presolve_reference.reduced_var r v) then
+        Error "variable maps differ"
+      else
+        let points =
+          [ Array.make nr 0.0; Array.init nr (fun j -> 0.37 +. (0.61 *. float_of_int j)) ]
+        in
+        if
+          List.for_all
+            (fun x ->
+              let a = Presolve.postsolve k x and b = Presolve_reference.postsolve r x in
+              Array.for_all2 same_bits a b)
+            points
+        then Ok ()
+        else Error "postsolve differs"
+    end
+
+let check_agrees what m =
+  match kernel_agrees m with Ok () -> () | Error e -> Alcotest.failf "%s: %s" what e
+
+(* Random sparse models with what the Eq. (3) generators lack: signed
+   and fractional coefficients, continuous and general-integer columns,
+   infinite bounds and doubleton equalities, so synonym and free-column
+   substitution (with their fill-in), forcing rows and strengthening
+   of negative coefficients all run. Many are infeasible; the two
+   kernels must then fail on the same row with the same message. *)
+let mixed_model seed =
+  let rng = Rng.create seed in
+  let m = Model.create () in
+  let n = 4 + Rng.int rng 10 in
+  let coefs = [| -3.0; -2.0; -1.0; -0.5; 0.5; 1.0; 1.0; 1.0; 1.5; 2.0; 4.0 |] in
+  let vars =
+    Array.init n (fun _ ->
+        match Rng.int rng 4 with
+        | 0 -> Model.add_binary m
+        | 1 -> Model.add_var ~kind:Model.Integer ~lb:0.0 ~ub:(float_of_int (1 + Rng.int rng 6)) m
+        | 2 -> Model.add_var ~lb:(-.float_of_int (Rng.int rng 5)) ~ub:(float_of_int (Rng.int rng 8)) m
+        | _ -> Model.add_var ~lb:(if Rng.int rng 2 = 0 then neg_infinity else 0.0) m)
+  in
+  let pick () = vars.(Rng.int rng n) in
+  let coef () = coefs.(Rng.int rng (Array.length coefs)) in
+  for _ = 1 to 3 + Rng.int rng 10 do
+    let k = 1 + Rng.int rng 5 in
+    let lhs = Expr.sum (List.init k (fun _ -> Expr.var ~coef:(coef ()) (pick ()))) in
+    let rel = match Rng.int rng 3 with 0 -> Model.Le | 1 -> Model.Ge | _ -> Model.Eq in
+    ignore (Model.add_constraint m lhs rel (float_of_int (Rng.int rng 9 - 2)))
+  done;
+  for _ = 0 to Rng.int rng 3 do
+    let lhs = Expr.add (Expr.var ~coef:(coef ()) (pick ())) (Expr.var ~coef:(coef ()) (pick ())) in
+    ignore (Model.add_constraint m lhs Model.Eq (float_of_int (Rng.int rng 5)))
+  done;
+  Model.set_objective m
+    (if Rng.int rng 2 = 0 then Model.Minimize else Model.Maximize)
+    (Expr.add (Expr.const 1.5) (Expr.sum (List.init 3 (fun _ -> Expr.var ~coef:(coef ()) (pick ())))));
+  m
+
+let prop_kernel_matches_reference =
+  QCheck2.Test.make ~name:"array kernel matches the list reference" ~count:300
+    ~print:string_of_int QCheck2.Gen.int (fun seed ->
+      let models =
+        [
+          ("planted", planted_model seed);
+          ("poisoned", poisoned_model seed true);
+          ("unpoisoned", poisoned_model seed false);
+          ("mixed", mixed_model seed);
+        ]
+      in
+      List.for_all
+        (fun (what, m) ->
+          match kernel_agrees m with
+          | Ok () -> true
+          | Error e -> QCheck2.Test.fail_reportf "%s model: %s" what e)
+        models)
+
+let test_kernel_pinned () = check_agrees "pinned Eq.(3)" (eq3_pinned_model ())
+
+(* The relax-and-fix pre-mapping of [m]: every binary above 0.95 in the
+   LP optimum pinned to 1, as [Milp.relax_and_fix] does. [None] when
+   the LP has no optimum within 4000 iterations. *)
+let premapped m =
+  let params = { Simplex.default_params with Simplex.max_iterations = 4000 } in
+  match Simplex.solve ~params m with
+  | Simplex.Optimal s ->
+    let fixed = Model.copy m in
+    List.iter
+      (fun v ->
+        if s.Simplex.values.(v) > 0.95 && Model.var_ub fixed v >= 1.0 then
+          Model.fix_var fixed v 1.0)
+      (Model.integer_vars m);
+    Some fixed
+  | _ -> None
+
+(* Past this size the LP behind a pre-mapped copy takes seconds. *)
+let premap_var_limit = 4000
+
+(* Every Table-I design's full formulation-(3) model in Freeze mode at
+   Step 1's value (many are refuted, as inside failed Δ attempts), the
+   same model with every stress budget loosened by half the distance to
+   the baseline's max stress, and, on the 4x4 and 8x8 designs, the
+   pre-mapped copy of each. *)
+let test_kernel_table1 () =
+  Array.iter
+    (fun spec ->
+      let design = Benchmarks.generate spec in
+      let baseline = Placer.aging_unaware design in
+      let name = spec.Benchmarks.bname in
+      let inst, lb = Remap.build_formulation ~mode:Rotation.Freeze design baseline in
+      let tight = Ilp_model.model inst in
+      let slack = 0.5 *. (Agingfp_cgrra.Stress.max_accumulated design baseline -. lb) in
+      let loose = Model.copy tight in
+      List.iter
+        (fun (_, row) ->
+          let _, _, rhs = Model.constraint_row loose row in
+          Model.set_rhs loose row (rhs +. slack))
+        (Ilp_model.stress_budget_rows inst);
+      List.iter
+        (fun (what, m) ->
+          check_agrees (name ^ " " ^ what) m;
+          if Model.num_vars m <= premap_var_limit then
+            Option.iter (check_agrees (name ^ " " ^ what ^ " pre-mapped")) (premapped m))
+        [ ("tight", tight); ("loose", loose) ])
+    Benchmarks.table1
+
 let () =
   Alcotest.run "presolve"
     [
@@ -639,6 +825,12 @@ let () =
           QCheck_alcotest.to_alcotest prop_planted_never_infeasible;
           QCheck_alcotest.to_alcotest prop_milp_presolve_equivalence;
           QCheck_alcotest.to_alcotest prop_poisoned_matches_enumeration;
+        ] );
+      ( "kernel",
+        [
+          QCheck_alcotest.to_alcotest prop_kernel_matches_reference;
+          Alcotest.test_case "pinned Eq.(3) model" `Quick test_kernel_pinned;
+          Alcotest.test_case "Table-I group models" `Slow test_kernel_table1;
         ] );
       ( "ci-guard",
         [
