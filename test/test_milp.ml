@@ -252,6 +252,23 @@ let test_brancher_pseudocost_prefers_observed () =
   Alcotest.(check bool) "var 0 unreliable" true (Brancher.unreliable b ~var:0);
   Alcotest.(check bool) "var 1 reliable" false (Brancher.unreliable b ~var:1)
 
+(* An unbounded root relaxation is a broken model, not a finished
+   search: relax-and-fix must say so in [stop], or the remap ladder
+   records no degradation for it. *)
+let test_relax_and_fix_unbounded_root () =
+  let m = Model.create () in
+  let x = Model.add_binary m in
+  let y = Model.add_var ~lb:neg_infinity m in
+  ignore (Model.add_constraint m (Expr.add (Expr.var x) (Expr.var y)) Model.Le 5.0);
+  Model.set_objective m Model.Minimize (Expr.var y);
+  let result, stats = Milp.relax_and_fix_with_stats m in
+  (match result with
+  | Milp.Unknown -> ()
+  | r -> Alcotest.failf "expected unknown, got %a" Milp.pp_result r);
+  match stats.Milp.stop with
+  | Budget.Fault "unbounded LP relaxation" -> ()
+  | r -> Alcotest.failf "expected an unbounded-LP fault, got %a" Budget.pp_stop_reason r
+
 let () =
   Alcotest.run "milp-tree"
     [
@@ -262,6 +279,8 @@ let () =
             test_run_to_run_deterministic;
           Alcotest.test_case "proof closes gap" `Quick test_proof_closes_gap;
           Alcotest.test_case "node-limit gap honest" `Quick test_node_limit_gap_honest;
+          Alcotest.test_case "relax-and-fix unbounded root" `Quick
+            test_relax_and_fix_unbounded_root;
         ] );
       ( "node-store",
         [
