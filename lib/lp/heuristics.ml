@@ -111,11 +111,17 @@ let pump ~model ~obj_expr ~st ~int_vars ~budget ~(relaxed : Simplex.solution) =
     xt.(v) <- Float.max lb (Float.min ub xt.(v))
   in
   List.iter clamp int_vars;
+  (* The rounded targets visited so far, keyed by their integer values
+     in [int_vars] order, 8 bytes each: equal keys are equal targets,
+     and the table hashes every byte. *)
   let seen = Hashtbl.create 32 in
+  let nint = List.length int_vars in
   let key () =
-    let b = Buffer.create 64 in
-    List.iter (fun v -> Buffer.add_string b (Printf.sprintf "%d," (int_of_float xt.(v)))) int_vars;
-    Buffer.contents b
+    let b = Bytes.create (8 * nint) in
+    List.iteri
+      (fun i v -> Bytes.set_int64_le b (8 * i) (Int64.of_int (int_of_float xt.(v))))
+      int_vars;
+    Bytes.unsafe_to_string b
   in
   (* The initial rounding may already be feasible (the paper's null
      objective makes this common) — check before pumping. *)
