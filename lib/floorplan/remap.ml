@@ -314,7 +314,10 @@ let lint_instance inst =
    counters and to [stats_note], so the caller can attribute the work
    to a ladder rung. When [certify] is set, any optimal point is
    re-verified in exact arithmetic against the (rebudgeted) model
-   before it is trusted. *)
+   before it is trusted. The returned flag says the status came from a
+   cold solve (a fresh state or a warm re-solve that fell back to one):
+   a slack basis rebuilt from the model's current rhs and bounds, so
+   the same answer a fresh [Simplex.solve] of the model gives. *)
 let cached_lp_solve ~certify ~budget ~stats_note ~cache ~build ~st_target ~committed group =
   let inst, st, fresh =
     match Hashtbl.find_opt cache group with
@@ -361,7 +364,7 @@ let cached_lp_solve ~certify ~budget ~stats_note ~cache ~build ~st_target ~commi
     note_certificate ~kind:`Lp
       (Certify.solution ~relaxation:true (Ilp_model.model inst) sol)
   | _ -> ());
-  (inst, status)
+  (inst, status, not warm)
 
 (* Why an LP relaxation was unusable, as a degradation reason.
    [Unbounded] on formulation (3) — bounded binaries — can only mean a
@@ -457,7 +460,7 @@ let solve_group params design reference ~candidates ~monitored ~st_target ~commi
     in
     promotion_retry ~budget ~retries:(if mono then 2 else 0) pass order
   in
-  let inst, lp_status =
+  let inst, lp_status, lp_cold =
     cached_lp_solve ~certify:params.certify ~budget ~stats_note ~cache
       ~build:(fun () ->
         Ilp_model.build ~encoding:params.encoding ~objective:params.objective design
@@ -505,8 +508,11 @@ let solve_group params design reference ~candidates ~monitored ~st_target ~commi
           if mono then milp_params
           else { milp_params with Milp.node_limit = min milp_params.Milp.node_limit 24 }
         in
+        (* A cold group LP is the root relax-and-fix would solve
+           again: same model, rhs, bounds, cost and iteration cap. *)
+        let root = if lp_cold then Some sol else None in
         let milp_result, milp_stats =
-          Milp.relax_and_fix_with_stats ~params:milp_params lp_model
+          Milp.relax_and_fix_with_stats ~params:milp_params ?root lp_model
         in
         stats_note ~milp:true milp_stats;
         if params.certify then

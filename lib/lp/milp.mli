@@ -154,6 +154,10 @@ val relax_and_fix : ?threshold:float -> ?params:params -> Model.t -> result
     residual model — the pre-mapping is a heuristic restriction. *)
 
 val relax_and_fix_with_stats :
-  ?threshold:float -> ?params:params -> Model.t -> result * stats
+  ?threshold:float -> ?params:params -> ?root:Simplex.solution -> Model.t -> result * stats
+(** [root], when given, is the optimum of a cold LP solve of the model
+    as it stands (a fresh slack basis, the default iteration cap): it
+    is used as the root relaxation instead of solving that LP again,
+    and counts no LP work. *)
 
 val pp_result : Format.formatter -> result -> unit
